@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyOverlapError, NoOverlapError
+from .errors import NoOverlapError
 from .geometry import (
     EulerPose,
     PointCloud,
-    apply_transform,
     euler_to_transform,
     transform_to_euler,
     validate_transform,
@@ -28,18 +27,12 @@ from .mi import (
     NO_OVERLAP_SENTINEL,
     BinningSpec,
     MIResult,
-    build_joint_histogram,
+    joint_histogram_at,
     mi_objective,
     mutual_information,
 )
 from .optim import OptimResult, SimplexConfig, nelder_mead_maximize
-from .voxel import (
-    FeatureKind,
-    GridSpec,
-    compute_feature_map,
-    compute_overlap,
-    voxelize,
-)
+from .voxel import FeatureKind, GridSpec, compute_feature_map, voxelize
 
 SWEEP_AXES = ("tx", "ty", "tz", "rx", "ry", "rz")
 
@@ -161,16 +154,16 @@ def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
 
 def mi_at(scan_a: PointCloud, scan_b: PointCloud, pose: EulerPose,
           cfg: AlignmentConfig | None = None) -> MIResult:
-    """Single objective evaluation with the full entropy breakdown."""
+    """Single objective evaluation with the full entropy breakdown.
+
+    Unlike :func:`mi_objective` it raises instead of scoring the sentinel:
+    OutOfBoundsError, EmptyOverlapError, or ValueError when ``phi_enabled``
+    is off and no voxel is occupied in both scans.
+    """
     cfg = cfg or AlignmentConfig()
     feat_a = _prepare(scan_a, scan_b, cfg)
-    moved = apply_transform(scan_b, euler_to_transform(pose))
-    vox_b = voxelize(moved, cfg.grid)
-    feat_b = compute_feature_map(vox_b, moved, cfg.feature)
-    region = compute_overlap(feat_a.bounds, feat_b.bounds)
-    if region.is_empty:
-        raise EmptyOverlapError("scans do not overlap at this pose")
-    hist = build_joint_histogram(feat_a, feat_b, region, cfg.binning)
+    hist = joint_histogram_at(feat_a, scan_b, euler_to_transform(pose),
+                              cfg.grid, cfg.binning)
     return mutual_information(hist, include_phi=cfg.phi_enabled)
 
 

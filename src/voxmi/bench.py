@@ -14,11 +14,12 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .align import AlignmentConfig, align
-from .errors import VoxmiError
+from .errors import DegenerateOrientationError, VoxmiError
 from .geometry import (
     EulerPose,
     PointCloud,
@@ -28,7 +29,6 @@ from .geometry import (
     inverse,
     transform_to_euler,
 )
-from .errors import DegenerateOrientationError
 
 TRIAL_CSV_HEADER = (
     "magnitude,trial,init_terr_m,final_terr_m,init_rerr_deg,final_rerr_deg,"
@@ -342,8 +342,6 @@ def run_benchmark(pert: PerturbationSpec, cfg: AlignmentConfig | None = None,
     records.sort(key=lambda r: (r.magnitude, r.trial))
 
     if out_dir is not None:
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trials_csv(records, out / "trials.csv")

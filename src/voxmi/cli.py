@@ -34,11 +34,11 @@ from .errors import (
     NoOverlapError,
     VoxmiError,
 )
-from .geometry import EulerPose, apply_transform, euler_to_transform
+from .geometry import EulerPose, euler_to_transform, transform_to_euler
 from .mi import (
     BinningSpec,
-    build_joint_histogram,
     dump_histogram_csv,
+    joint_histogram_at,
     mutual_information,
     occupied_correlation,
 )
@@ -49,13 +49,7 @@ from .scan_io import (
     relative_ground_truth,
     save_scan,
 )
-from .voxel import (
-    FeatureKind,
-    GridSpec,
-    compute_feature_map,
-    compute_overlap,
-    voxelize,
-)
+from .voxel import FeatureKind, GridSpec, compute_feature_map, voxelize
 
 _ROTATION_AXES = ("rx", "ry", "rz")
 
@@ -190,8 +184,6 @@ def _cmd_sweep(args) -> int:
     scan_b = load_scan(args.scan_b, args.format)
     cfg = _build_config(args)
     base_t = _parse_pose_arg(args.init) if args.init else np.eye(4)
-    from .geometry import transform_to_euler
-
     base_pose = transform_to_euler(base_t)
     lo, hi = args.range
     cli_values = np.linspace(lo, hi, args.steps)
@@ -217,15 +209,9 @@ def _cmd_histogram(args) -> int:
     scan_b = load_scan(args.scan_b, args.format)
     cfg = _build_config(args)
     t = _parse_pose_arg(args.init) if args.init else np.eye(4)
-    moved = apply_transform(scan_b, t)
     feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,
                                  cfg.feature)
-    feat_b = compute_feature_map(voxelize(moved, cfg.grid), moved,
-                                 cfg.feature)
-    region = compute_overlap(feat_a.bounds, feat_b.bounds)
-    if region.is_empty:
-        raise EmptyOverlapError("scans do not overlap at this pose")
-    hist = build_joint_histogram(feat_a, feat_b, region, cfg.binning)
+    hist = joint_histogram_at(feat_a, scan_b, t, cfg.grid, cfg.binning)
     result = mutual_information(hist, include_phi=cfg.phi_enabled)
     corr = occupied_correlation(hist.counts)
     print(f"voxels in overlap region: {hist.total}")
@@ -377,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3,
                    help="trials per magnitude class (default 3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="trials to run concurrently (default: all cores)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="trials to run concurrently on threads (default 1; "
+                   "above 1, each trial's wall_s includes thread contention)")
     p.add_argument("--out-dir", default=None,
                    help="directory for trials.csv and summary.csv")
     p.add_argument("--kitti-dir", default=None,

@@ -10,7 +10,6 @@ information is H(X) + H(Y) - H(X, Y) in nats.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,22 +107,9 @@ class MIResult:
     h_xy: float
 
 
-def _bincount_chunked(flat: np.ndarray, n_cells: int, n_jobs: int) -> np.ndarray:
-    """Histogram of flat cell indices; chunked map + ordered integer reduce."""
-    if n_jobs <= 1 or flat.size < 2 * n_jobs:
-        return np.bincount(flat, minlength=n_cells)
-    chunks = np.array_split(flat, n_jobs)
-    out = np.zeros(n_cells, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [pool.submit(np.bincount, c, minlength=n_cells) for c in chunks]
-        for fut in futures:
-            out += fut.result()
-    return out
-
-
 def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
-                          region: OverlapRegion, spec: BinningSpec,
-                          n_jobs: int = 1) -> JointHistogram:
+                          region: OverlapRegion,
+                          spec: BinningSpec) -> JointHistogram:
     """Count co-located feature-bin pairs over every voxel of the region.
 
     Voxels occupied in one scan only pair with bin 0 on the other axis; the
@@ -154,7 +140,7 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
         bin_features(vals_a[only_a], spec) * width,
         bin_features(vals_b[only_b], spec),
     ])
-    counts = _bincount_chunked(flat, width * width, n_jobs).reshape(width, width)
+    counts = np.bincount(flat, minlength=width * width).reshape(width, width)
     n_union = keys_a.size + keys_b.size - common.size
     counts[0, 0] += n_region - n_union
     return JointHistogram(counts=counts, total=n_region, spec=spec)
@@ -191,27 +177,40 @@ def mutual_information(hist: JointHistogram,
     return MIResult(mi=mi, h_x=h_x, h_y=h_y, h_xy=h_xy)
 
 
+def joint_histogram_at(feat_a: FeatureMap, cloud_b: PointCloud,
+                       transform: np.ndarray, grid: GridSpec,
+                       spec: BinningSpec) -> JointHistogram:
+    """Joint histogram of scan A against scan B moved by ``transform``.
+
+    The one evaluation pipeline: transform B, voxelize it on the shared
+    grid, featurize it, take the overlap box with A and bin both feature
+    maps over it.  Raises OutOfBoundsError when moved points leave the
+    packable grid and EmptyOverlapError when the occupied boxes miss.
+    """
+    if feat_a.kind is not spec.kind:
+        raise ValueError("feature map and binning spec must share one kind")
+    moved = apply_transform(cloud_b, transform)
+    feat_b = compute_feature_map(voxelize(moved, grid), moved, spec.kind)
+    region = compute_overlap(feat_a.bounds, feat_b.bounds)
+    if region.is_empty:
+        raise EmptyOverlapError("scans do not overlap at this pose")
+    return build_joint_histogram(feat_a, feat_b, region, spec)
+
+
 def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud, pose: EulerPose,
                  grid: GridSpec, spec: BinningSpec,
-                 include_phi: bool = True, n_jobs: int = 1) -> float:
-    """One objective evaluation: transform B, re-voxelize, and score MI.
+                 include_phi: bool = True) -> float:
+    """One objective evaluation: MI of the joint histogram at ``pose``.
 
     Scan A's feature map is precomputed once per run and passed in.  Returns
     the worst-possible sentinel for candidate poses with no overlap (or that
     push points off the representable grid) so the optimizer retreats.
     """
-    if feat_a.kind is not spec.kind:
-        raise ValueError("feature map and binning spec must share one kind")
-    moved = apply_transform(cloud_b, euler_to_transform(pose))
     try:
-        vox_b = voxelize(moved, grid)
-    except OutOfBoundsError:
+        hist = joint_histogram_at(feat_a, cloud_b, euler_to_transform(pose),
+                                  grid, spec)
+    except (OutOfBoundsError, EmptyOverlapError):
         return NO_OVERLAP_SENTINEL
-    feat_b = compute_feature_map(vox_b, moved, spec.kind, n_jobs=n_jobs)
-    region = compute_overlap(feat_a.bounds, feat_b.bounds)
-    if region.is_empty:
-        return NO_OVERLAP_SENTINEL
-    hist = build_joint_histogram(feat_a, feat_b, region, spec, n_jobs=n_jobs)
     try:
         return mutual_information(hist, include_phi=include_phi).mi
     except ValueError:

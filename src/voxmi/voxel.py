@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,50 +228,13 @@ def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, offsets[:-1])
 
 
-def _parallel_segment_sums(values: np.ndarray, offsets: np.ndarray,
-                           n_jobs: int) -> np.ndarray:
-    """Map/reduce version of :func:`_segment_sums`.
-
-    Chunks the grouped value array, computes partial per-group sums
-    concurrently, then accumulates partials in chunk order so the result
-    matches the serial path to rounding.
-    """
-    n_groups = len(offsets) - 1
-    n = values.size
-    if n == 0:
-        return np.zeros(n_groups)
-    chunk_edges = np.linspace(0, n, n_jobs + 1).astype(np.int64)
-
-    def partial(lo: int, hi: int) -> tuple[int, np.ndarray]:
-        if lo == hi:
-            return 0, np.zeros(0)
-        first = int(np.searchsorted(offsets, lo, side="right")) - 1
-        last = int(np.searchsorted(offsets, hi, side="left")) - 1
-        local_edges = np.clip(offsets[first:last + 2], lo, hi) - lo
-        sums = np.add.reduceat(values[lo:hi], local_edges[:-1])
-        # reduceat repeats a value where consecutive edges coincide
-        sums[np.diff(local_edges) == 0] = 0.0
-        return first, sums
-
-    out = np.zeros(n_groups)
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [pool.submit(partial, int(chunk_edges[c]), int(chunk_edges[c + 1]))
-                   for c in range(n_jobs)]
-        for fut in futures:  # accumulate in chunk order: deterministic
-            first, sums = fut.result()
-            out[first:first + sums.size] += sums
-    return out
-
-
 def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
-                        kind: FeatureKind, n_jobs: int = 1) -> FeatureMap:
+                        kind: FeatureKind) -> FeatureMap:
     """Reduce each voxel's member points to one scalar feature.
 
     VARZ is the population variance (divisor n) of member z-heights, so a
     single-point voxel yields 0 rather than an undefined value.  COUNT is the
-    member count.  With ``n_jobs > 1`` the per-voxel aggregation runs as a
-    chunked map/reduce whose accumulation order is fixed, so results match
-    the serial path (COUNT exactly, VARZ within 1e-12).
+    member count.
     """
     if voxel_map.n_points != len(cloud):
         raise ValueError(
@@ -283,12 +245,9 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
         values = counts.astype(np.float64)
     else:
         z = cloud.points[voxel_map.point_indices, 2]
-        sums = (_segment_sums(z, voxel_map.offsets) if n_jobs <= 1
-                else _parallel_segment_sums(z, voxel_map.offsets, n_jobs))
-        means = sums / counts
+        means = _segment_sums(z, voxel_map.offsets) / counts
         sq_dev = (z - np.repeat(means, counts)) ** 2
-        ssd = (_segment_sums(sq_dev, voxel_map.offsets) if n_jobs <= 1
-               else _parallel_segment_sums(sq_dev, voxel_map.offsets, n_jobs))
+        ssd = _segment_sums(sq_dev, voxel_map.offsets)
         # guard tiny negative rounding residue on constant-z voxels
         values = np.maximum(ssd, 0.0) / counts
     return FeatureMap(kind=kind, keys=voxel_map.keys, values=values,

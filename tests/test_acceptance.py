@@ -32,9 +32,9 @@ from voxmi import (
     bin_feature,
     build_joint_histogram,
     compute_feature_map,
-    compute_overlap,
     euler_to_transform,
     inverse,
+    joint_histogram_at,
     load_kitti_poses,
     load_scan,
     mutual_information,
@@ -62,11 +62,8 @@ YAW_MAG_DEG = 10.0
 
 
 def correlation_at(feat_a, scan_b, pose, cfg) -> float:
-    moved = apply_transform(scan_b, euler_to_transform(pose))
-    feat_b = compute_feature_map(voxelize(moved, cfg.grid), moved,
-                                 cfg.feature)
-    region = compute_overlap(feat_a.bounds, feat_b.bounds)
-    hist = build_joint_histogram(feat_a, feat_b, region, cfg.binning)
+    hist = joint_histogram_at(feat_a, scan_b, euler_to_transform(pose),
+                              cfg.grid, cfg.binning)
     return occupied_correlation(hist.counts)
 
 
@@ -267,30 +264,29 @@ def test_criterion_08_optimizer_reference_problems():
 
 
 def test_criterion_09_parallel_matches_serial():
-    """50 seeded scenes: identical counts, entropies within 1e-12."""
+    """50 seeded scenes evaluated in a serial loop and on 4 worker threads,
+    as ``run_benchmark(jobs > 1)`` runs trials: identical counts, entropies
+    within 1e-12."""
     spec = BinningSpec(kind=FeatureKind.VARZ)
     grid = GridSpec()
-    for seed in range(50):
+
+    def evaluate(seed):
         rng = np.random.default_rng(seed)
         cloud_a = PointCloud(rng.uniform(-15, 15, size=(2000, 3)))
         cloud_b = PointCloud(rng.uniform(-12, 18, size=(2000, 3)))
-        feats = {}
-        for jobs in (1, 4):
-            fa = compute_feature_map(voxelize(cloud_a, grid), cloud_a,
-                                     FeatureKind.VARZ, n_jobs=jobs)
-            fb = compute_feature_map(voxelize(cloud_b, grid), cloud_b,
-                                     FeatureKind.VARZ, n_jobs=jobs)
-            region = compute_overlap(fa.bounds, fb.bounds)
-            feats[jobs] = (fa, fb,
-                           build_joint_histogram(fa, fb, region, spec,
-                                                 n_jobs=jobs))
-        np.testing.assert_array_equal(feats[1][2].counts, feats[4][2].counts)
-        np.testing.assert_allclose(feats[4][0].values, feats[1][0].values,
-                                   atol=1e-12)
-        serial = mutual_information(feats[1][2])
-        threaded = mutual_information(feats[4][2])
-        assert abs(serial.mi - threaded.mi) <= 1e-12
-        assert abs(serial.h_xy - threaded.h_xy) <= 1e-12
+        fa = compute_feature_map(voxelize(cloud_a, grid), cloud_a,
+                                 FeatureKind.VARZ)
+        hist = joint_histogram_at(fa, cloud_b, np.eye(4), grid, spec)
+        return fa, hist, mutual_information(hist)
+
+    serial = [evaluate(seed) for seed in range(50)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(evaluate, range(50)))
+    for (fa_s, hist_s, mi_s), (fa_t, hist_t, mi_t) in zip(serial, threaded):
+        np.testing.assert_array_equal(hist_s.counts, hist_t.counts)
+        np.testing.assert_allclose(fa_t.values, fa_s.values, atol=1e-12)
+        assert abs(mi_s.mi - mi_t.mi) <= 1e-12
+        assert abs(mi_s.h_xy - mi_t.h_xy) <= 1e-12
 
 
 def test_criterion_10_io_round_trips(tmp_path):

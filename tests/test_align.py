@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import numpy as np
@@ -190,6 +191,26 @@ class TestSweepAxis:
         curve = sweep_axis(scan_a, scan_a, EulerPose(), "tx", [0.0, 1e4])
         assert curve[0][1] > curve[1][1]
         assert curve[1][1] == NO_OVERLAP_SENTINEL
+
+    def test_one_module_objective_call_per_value(self, scene, monkeypatch):
+        """Evaluation counters wrap ``voxmi.align.mi_objective``: a sweep
+        must go through that name once per value, and ``mi_at`` never."""
+        # the package's ``align`` attribute is the function, not the module
+        align_mod = importlib.import_module("voxmi.align")
+        calls = []
+        objective = align_mod.mi_objective
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(align_mod, "mi_objective", counted)
+        scan_a, scan_b = scene
+        values = np.linspace(-1.0, 1.0, 7)
+        sweep_axis(scan_a, scan_b, TRUTH_POSE, "ty", values)
+        assert [pose.ty for pose in calls] == [float(v) for v in values]
+        mi_at(scan_a, scan_b, TRUTH_POSE)
+        assert len(calls) == len(values)
 
     def test_unknown_axis_rejected(self, scene):
         scan_a, _ = scene

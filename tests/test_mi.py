@@ -285,20 +285,6 @@ class TestBuildJointHistogram:
         with pytest.raises(ValueError):
             build_joint_histogram(feat, feat, region, VARZ_SPEC)
 
-    def test_parallel_counts_match_serial_exactly(self):
-        rng = np.random.default_rng(59)
-        cloud_a = PointCloud(rng.uniform(-20, 20, size=(30000, 3)))
-        cloud_b = PointCloud(rng.uniform(-15, 25, size=(30000, 3)))
-        grid = GridSpec()
-        fa = compute_feature_map(voxelize(cloud_a, grid), cloud_a,
-                                 FeatureKind.VARZ)
-        fb = compute_feature_map(voxelize(cloud_b, grid), cloud_b,
-                                 FeatureKind.VARZ)
-        region = compute_overlap(fa.bounds, fb.bounds)
-        h1 = build_joint_histogram(fa, fb, region, VARZ_SPEC, n_jobs=1)
-        h4 = build_joint_histogram(fa, fb, region, VARZ_SPEC, n_jobs=4)
-        np.testing.assert_array_equal(h1.counts, h4.counts)
-
 
 class TestMIObjective:
     def make_scene(self, seed=60, n=5000):

@@ -161,23 +161,6 @@ class TestFeatureMaps:
         feat = compute_feature_map(vmap, cloud, FeatureKind.COUNT)
         np.testing.assert_array_equal(feat.bounds, vmap.bounds)
 
-    def test_parallel_varz_matches_serial_within_1e12(self):
-        rng = np.random.default_rng(47)
-        cloud = PointCloud(rng.uniform(-25, 25, size=(30000, 3)))
-        vmap = voxelize(cloud, GridSpec())
-        serial = compute_feature_map(vmap, cloud, FeatureKind.VARZ, n_jobs=1)
-        parallel = compute_feature_map(vmap, cloud, FeatureKind.VARZ, n_jobs=4)
-        np.testing.assert_allclose(parallel.values, serial.values, atol=1e-12)
-
-    def test_parallel_count_matches_serial_exactly(self):
-        rng = np.random.default_rng(48)
-        cloud = PointCloud(rng.uniform(-25, 25, size=(30000, 3)))
-        vmap = voxelize(cloud, GridSpec())
-        serial = compute_feature_map(vmap, cloud, FeatureKind.COUNT, n_jobs=1)
-        parallel = compute_feature_map(vmap, cloud, FeatureKind.COUNT,
-                                       n_jobs=4)
-        np.testing.assert_array_equal(parallel.values, serial.values)
-
 
 class TestOverlap:
     def test_partial_intersection(self):
