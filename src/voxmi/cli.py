@@ -212,6 +212,9 @@ def _cmd_histogram(args) -> int:
     feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,
                                  cfg.feature)
     hist = joint_histogram_at(feat_a, scan_b, t, cfg.grid, cfg.binning)
+    if not cfg.phi_enabled and not hist.counts[1:, 1:].any():
+        raise EmptyOverlapError("no voxel is occupied in both scans, so "
+                                "MI without the no-feature bin is undefined")
     result = mutual_information(hist, include_phi=cfg.phi_enabled)
     corr = occupied_correlation(hist.counts)
     print(f"voxels in overlap region: {hist.total}")

@@ -42,3 +42,7 @@ class EmptyOverlapError(VoxmiError):
 
 class NoOverlapError(VoxmiError):
     """No probed pose produced any overlap; alignment cannot proceed."""
+
+
+class BoxTooLargeError(VoxmiError):
+    """A dense voxel box would have more cells than the grid allows."""

@@ -162,7 +162,10 @@ def transform_to_euler(t: np.ndarray) -> EulerPose:
 def apply_transform(cloud: PointCloud, t: np.ndarray) -> PointCloud:
     """Map every point through ``p -> R @ p + t``; intensity is carried over."""
     t = validate_transform(t)
-    pts = cloud.points @ t[:3, :3].T + t[:3, 3]
+    pts = cloud.points @ t[:3, :3].T
+    for axis in range(3):
+        # column by column: broadcasting a (3,) row over (N, 3) is slow
+        pts[:, axis] += t[axis, 3]
     return PointCloud(pts, cloud.intensity)
 
 

@@ -2,9 +2,10 @@
 
 Features of both scans inside the overlap region are binned into a 2D
 histogram whose bin 0 on each axis is reserved for the no-feature value of
-unoccupied voxels; the (0, 0) cell is computed analytically so empty space
-contributes alignment evidence without ever being enumerated.  Mutual
-information is H(X) + H(Y) - H(X, Y) in nats.
+unoccupied voxels.  Each scan's bins form a dense raster over its occupied
+box; both are sliced over the region and every cell is counted, so voxels
+empty in both scans land in cell (0, 0) and empty space contributes
+alignment evidence.  Mutual information is H(X) + H(Y) - H(X, Y) in nats.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from .voxel import (
     FeatureMap,
     GridSpec,
     OverlapRegion,
+    box_shape,
     compute_feature_map,
     compute_overlap,
-    keys_in_region,
-    overlap_voxel_count,
     voxelize,
 )
 
@@ -107,43 +107,49 @@ class MIResult:
     h_xy: float
 
 
+def _region_bins(feat: FeatureMap, region: OverlapRegion, shape,
+                 spec: BinningSpec) -> np.ndarray:
+    """Bins of ``feat`` on every cell of the region; 0 outside its box.
+
+    The bin raster of the whole box is made once per spec and cached on the
+    feature map, so scan A is binned once per run.
+    """
+    raster = feat.binned.get(spec)
+    if raster is None:
+        raster = np.zeros(box_shape(feat.bounds),
+                          dtype=np.min_scalar_type(spec.bin_count))
+        raster.reshape(-1)[feat.cells] = bin_features(feat.values, spec)
+        feat.binned[spec] = raster
+    lo = np.maximum(region.mins, feat.bounds[0])
+    hi = np.maximum(np.minimum(region.maxs, feat.bounds[1]) + 1, lo)
+    out = np.zeros(shape, dtype=raster.dtype)
+    out[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, region.mins))] = \
+        raster[tuple(slice(a - m, b - m)
+                     for a, b, m in zip(lo, hi, feat.bounds[0]))]
+    return out
+
+
 def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
                           region: OverlapRegion,
                           spec: BinningSpec) -> JointHistogram:
     """Count co-located feature-bin pairs over every voxel of the region.
 
-    Voxels occupied in one scan only pair with bin 0 on the other axis; the
-    population of voxels occupied in neither is region size minus the union
-    of occupied keys, credited to cell (0, 0) without enumeration.
+    Voxels occupied in one scan only pair with bin 0 on the other axis, and
+    voxels occupied in neither land in cell (0, 0).  Region cells outside a
+    map's occupied box are unoccupied in that map.
     """
     if feat_a.kind is not spec.kind or feat_b.kind is not spec.kind:
         raise ValueError("feature maps and binning spec must share one kind")
     if region.is_empty:
         raise EmptyOverlapError("overlap region is empty")
-    n_region = overlap_voxel_count(region)
-
-    mask_a = keys_in_region(feat_a.keys, region)
-    mask_b = keys_in_region(feat_b.keys, region)
-    keys_a, vals_a = feat_a.keys[mask_a], feat_a.values[mask_a]
-    keys_b, vals_b = feat_b.keys[mask_b], feat_b.values[mask_b]
-
-    common, ia, ib = np.intersect1d(keys_a, keys_b, assume_unique=True,
-                                    return_indices=True)
-    only_a = np.ones(keys_a.shape, dtype=bool)
-    only_a[ia] = False
-    only_b = np.ones(keys_b.shape, dtype=bool)
-    only_b[ib] = False
-
+    shape = box_shape(np.stack([region.mins, region.maxs]))
     width = spec.bin_count + 1
-    flat = np.concatenate([
-        bin_features(vals_a[ia], spec) * width + bin_features(vals_b[ib], spec),
-        bin_features(vals_a[only_a], spec) * width,
-        bin_features(vals_b[only_b], spec),
-    ])
-    counts = np.bincount(flat, minlength=width * width).reshape(width, width)
-    n_union = keys_a.size + keys_b.size - common.size
-    counts[0, 0] += n_region - n_union
-    return JointHistogram(counts=counts, total=n_region, spec=spec)
+    pairs = np.multiply(_region_bins(feat_a, region, shape, spec), width,
+                        dtype=np.intp)
+    pairs += _region_bins(feat_b, region, shape, spec)
+    counts = np.bincount(pairs.reshape(-1), minlength=width * width)
+    return JointHistogram(counts=counts.reshape(width, width),
+                          total=pairs.size, spec=spec)
 
 
 def entropy(counts) -> float:
@@ -185,7 +191,8 @@ def joint_histogram_at(feat_a: FeatureMap, cloud_b: PointCloud,
     The one evaluation pipeline: transform B, voxelize it on the shared
     grid, featurize it, take the overlap box with A and bin both feature
     maps over it.  Raises OutOfBoundsError when moved points leave the
-    packable grid and EmptyOverlapError when the occupied boxes miss.
+    grid's index range, BoxTooLargeError when moved B's occupied box has
+    too many cells, and EmptyOverlapError when the occupied boxes miss.
     """
     if feat_a.kind is not spec.kind:
         raise ValueError("feature map and binning spec must share one kind")

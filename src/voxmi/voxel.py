@@ -1,13 +1,13 @@
 """Voxelization, per-voxel scalar features, and overlap-region arithmetic.
 
 A scan is dropped onto a shared cubic grid; each occupied voxel gets one
-scalar feature (z-height variance or point count).  Unoccupied voxels are
-never stored: absence of a key means the voxel carries the no-feature value,
-and their populations are recovered by subtraction from the overlap-region
-voxel count.
-
-Voxel keys are packed into a single int64 (21 bits per signed axis index),
-which keeps grouping and set intersection to cheap integer array ops.
+scalar feature (z-height variance or point count).  A point's voxel is a
+linear (C-order, x-major) cell index inside the scan's occupied box, the
+tight integer box around its voxels.  One ``np.bincount`` over the box finds
+the occupied cells; per-voxel sums are then ``np.bincount`` over each
+point's slot among those cells, in point order.  A cell with no points
+carries the no-feature value.  A box of more than ``MAX_BOX_CELLS`` cells is
+refused with BoxTooLargeError before any dense array is allocated.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfBoundsError
+from .errors import BoxTooLargeError, OutOfBoundsError
 from .geometry import PointCloud
 
-# Signed 21-bit axis index range: collision-free packing of 3 axes in 63 bits.
-KEY_INDEX_MIN = -(1 << 20)
-KEY_INDEX_MAX = (1 << 20) - 1
-_KEY_OFFSET = 1 << 20
-_KEY_FIELD_BITS = 21
-_KEY_FIELD_MASK = (1 << _KEY_FIELD_BITS) - 1
+# Signed voxel index range per axis; a point beyond it has left the grid.
+INDEX_MIN = -(1 << 20)
+INDEX_MAX = (1 << 20) - 1
+# Most cells a dense box may have; an 8-byte array over it takes 128 MiB.
+MAX_BOX_CELLS = 1 << 24
 
 
 class FeatureKind(enum.Enum):
@@ -61,106 +60,81 @@ class GridSpec:
             raise ValueError(f"grid resolution must be > 0, got {self.resolution}")
 
 
-def pack_keys(ijk: np.ndarray) -> np.ndarray:
-    """Pack (N, 3) signed voxel indices into (N,) int64 keys."""
-    ijk = np.asarray(ijk, dtype=np.int64)
-    shifted = ijk + _KEY_OFFSET
-    return (
-        (shifted[..., 0] << (2 * _KEY_FIELD_BITS))
-        | (shifted[..., 1] << _KEY_FIELD_BITS)
-        | shifted[..., 2]
-    )
+def box_shape(bounds) -> tuple[int, int, int]:
+    """Cells per axis of an inclusive (2, 3) [mins; maxs] index box.
 
-
-def unpack_keys(keys: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_keys`: (N,) int64 keys to (N, 3) indices."""
-    keys = np.asarray(keys, dtype=np.int64)
-    out = np.empty(keys.shape + (3,), dtype=np.int64)
-    out[..., 0] = (keys >> (2 * _KEY_FIELD_BITS)) & _KEY_FIELD_MASK
-    out[..., 1] = (keys >> _KEY_FIELD_BITS) & _KEY_FIELD_MASK
-    out[..., 2] = keys & _KEY_FIELD_MASK
-    return out - _KEY_OFFSET
+    Raises BoxTooLargeError, naming the extents, when the box has more than
+    MAX_BOX_CELLS cells.
+    """
+    nx, ny, nz = (int(hi) - int(lo) + 1 for lo, hi in zip(*bounds))
+    if nx * ny * nz > MAX_BOX_CELLS:
+        raise BoxTooLargeError(
+            f"voxel box of {nx} x {ny} x {nz} = {nx * ny * nz} cells exceeds "
+            f"the dense-grid limit of {MAX_BOX_CELLS} cells"
+        )
+    return nx, ny, nz
 
 
 @dataclass(frozen=True)
 class VoxelIndexMap:
-    """Sparse voxel-to-point mapping in grouped (CSR-like) form.
+    """Points of one cloud assigned to the occupied cells of its box.
 
-    ``keys`` are the occupied packed voxel keys, sorted ascending.
-    ``point_indices[offsets[k]:offsets[k + 1]]`` are the member point indices
-    of ``keys[k]``, ascending (i.e. in original cloud order).
-    ``bounds`` is the tight integer AABB over occupied voxel indices,
-    shaped (2, 3) as [mins; maxs].
+    ``bounds`` is the tight integer box over occupied voxel indices, shaped
+    (2, 3) as [mins; maxs].  ``occupied`` holds the ascending linear
+    (C-order) indices of the cells with at least one point, ``counts``
+    their point counts and ``slot`` each point's position in ``occupied``.
     """
 
-    keys: np.ndarray
-    offsets: np.ndarray
-    point_indices: np.ndarray
+    slot: np.ndarray
+    occupied: np.ndarray
+    counts: np.ndarray
     bounds: np.ndarray
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.point_indices.shape[0]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def indices_for(self, ijk) -> np.ndarray:
-        """Member point indices of one voxel; empty array if unoccupied."""
-        key = pack_keys(np.asarray(ijk).reshape(1, 3))[0]
-        pos = np.searchsorted(self.keys, key)
-        if pos == len(self.keys) or self.keys[pos] != key:
-            return np.empty(0, dtype=np.int64)
-        return self.point_indices[self.offsets[pos]:self.offsets[pos + 1]]
-
-    def as_dict(self) -> dict[tuple[int, int, int], np.ndarray]:
-        ijk = unpack_keys(self.keys)
-        return {
-            tuple(ijk[k]): self.point_indices[self.offsets[k]:self.offsets[k + 1]]
-            for k in range(len(self.keys))
-        }
+        return self.occupied.shape[0]
 
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Per-voxel scalar features over the occupied subset of a grid.
+    """Per-voxel scalar features over the occupied cells of a box.
 
-    Absent keys carry the no-feature value.  ``keys`` are sorted packed
-    voxel keys, ``values`` the matching features, ``bounds`` the occupied
-    AABB as (2, 3) [mins; maxs].
+    ``bounds`` is the occupied box as (2, 3) [mins; maxs], ``cells`` the
+    ascending linear (C-order) indices of the occupied cells inside it and
+    ``values`` their features.  Every other cell carries the no-feature
+    value.  ``binned`` caches, per binning spec, the box's bin raster that
+    :func:`voxmi.mi.build_joint_histogram` makes.
     """
 
     kind: FeatureKind
-    keys: np.ndarray
+    cells: np.ndarray
     values: np.ndarray
     bounds: np.ndarray
+    binned: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
-        if self.keys.shape != self.values.shape:
-            raise ValueError("keys and values must have matching shapes")
+        if self.cells.shape != self.values.shape:
+            raise ValueError("cells and values must have matching shapes")
         if self.values.size and (
             not np.isfinite(self.values).all() or (self.values < 0).any()
         ):
             raise ValueError("features must be finite and >= 0")
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
+        return self.cells.shape[0]
+
+    def voxels(self) -> np.ndarray:
+        """(n, 3) voxel indices of the occupied cells, in ``cells`` order."""
+        shape = tuple(self.bounds[1] - self.bounds[0] + 1)
+        return np.stack(np.unravel_index(self.cells, shape), axis=1) + self.bounds[0]
 
     def value_for(self, ijk) -> float | None:
         """Feature of one voxel, or None for an unoccupied (no-feature) voxel."""
-        key = pack_keys(np.asarray(ijk).reshape(1, 3))[0]
-        pos = np.searchsorted(self.keys, key)
-        if pos == len(self.keys) or self.keys[pos] != key:
-            return None
-        return float(self.values[pos])
+        return self.as_dict().get(tuple(int(i) for i in np.ravel(ijk)))
 
     def as_dict(self) -> dict[tuple[int, int, int], float]:
-        ijk = unpack_keys(self.keys)
-        return {tuple(ijk[k]): float(self.values[k]) for k in range(len(self.keys))}
+        return {tuple(int(i) for i in ijk): float(v)
+                for ijk, v in zip(self.voxels(), self.values)}
 
 
 @dataclass(frozen=True)
@@ -188,44 +162,57 @@ class OverlapRegion:
         return np.array([self.x_max, self.y_max, self.z_max], dtype=np.int64)
 
 
+def _floored(cloud: PointCloud, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Floored grid coordinates as (3, N) floats, one contiguous row per
+    axis, and their (2, 3) integer bounds.  The range check reads only the
+    bounds; the first offending point is looked for only when it fails."""
+    scaled = np.empty((3, len(cloud)))
+    for axis in range(3):
+        np.subtract(cloud.points[:, axis], grid.origin[axis], out=scaled[axis])
+    scaled /= grid.resolution
+    np.floor(scaled, out=scaled)
+    lo, hi = scaled.min(axis=1), scaled.max(axis=1)
+    if (lo < INDEX_MIN).any() or (hi > INDEX_MAX).any():
+        ijk = scaled.T.astype(np.int64)
+        bad = (ijk < INDEX_MIN) | (ijk > INDEX_MAX)
+        idx = int(np.nonzero(bad.any(axis=1))[0][0])
+        raise OutOfBoundsError(
+            f"point {idx} at {cloud.points[idx]} maps to voxel index "
+            f"{ijk[idx]} outside [{INDEX_MIN}, {INDEX_MAX}]"
+        )
+    return scaled, np.stack([lo, hi]).astype(np.int64)
+
+
 def voxel_indices(cloud: PointCloud, grid: GridSpec) -> np.ndarray:
     """Floor-indexed voxel coordinates, (N, 3) int64.
 
     Points exactly on a voxel boundary belong to the higher-index voxel.
     Raises OutOfBoundsError naming the first offending point if any index
-    leaves the packable range.
+    leaves [INDEX_MIN, INDEX_MAX].
     """
-    ijk = np.floor((cloud.points - grid.origin) / grid.resolution).astype(np.int64)
-    bad = (ijk < KEY_INDEX_MIN) | (ijk > KEY_INDEX_MAX)
-    if bad.any():
-        idx = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise OutOfBoundsError(
-            f"point {idx} at {cloud.points[idx]} maps to voxel index "
-            f"{ijk[idx]} outside [{KEY_INDEX_MIN}, {KEY_INDEX_MAX}]"
-        )
-    return ijk
+    if len(cloud) == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    return _floored(cloud, grid)[0].T.astype(np.int64, order="C")
 
 
 def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
-    """Group every point of a non-empty cloud into its voxel."""
+    """Assign every point of a non-empty cloud to a cell of its occupied box."""
     if len(cloud) == 0:
         raise ValueError("cannot voxelize an empty cloud")
-    ijk = voxel_indices(cloud, grid)
-    packed = pack_keys(ijk)
-    order = np.argsort(packed, kind="stable")
-    sorted_keys = packed[order]
-    keys, start = np.unique(sorted_keys, return_index=True)
-    offsets = np.append(start, packed.shape[0]).astype(np.int64)
-    bounds = np.stack([ijk.min(axis=0), ijk.max(axis=0)])
-    return VoxelIndexMap(keys=keys, offsets=offsets,
-                         point_indices=order.astype(np.int64), bounds=bounds)
-
-
-def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-group sums over a grouped array, summed in stored order."""
-    if values.size == 0:
-        return np.zeros(len(offsets) - 1)
-    return np.add.reduceat(values, offsets[:-1])
+    scaled, bounds = _floored(cloud, grid)
+    nx, ny, nz = box_shape(bounds)
+    # every term is an integer below 2**44, so the float products are exact
+    strides = np.array([ny * nz, nz, 1], dtype=np.float64)
+    cell = np.empty(len(cloud), dtype=np.int64)
+    np.subtract(strides @ scaled, strides @ bounds[0], out=cell,
+                casting="unsafe")
+    per_cell = np.bincount(cell, minlength=nx * ny * nz)
+    occupied = np.flatnonzero(per_cell)
+    counts = per_cell[occupied]
+    # reuse the one box-sized array as the cell -> slot table
+    per_cell[occupied] = np.arange(occupied.size)
+    return VoxelIndexMap(slot=per_cell[cell], occupied=occupied,
+                         counts=counts, bounds=bounds)
 
 
 def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
@@ -233,24 +220,27 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
     """Reduce each voxel's member points to one scalar feature.
 
     VARZ is the population variance (divisor n) of member z-heights, so a
-    single-point voxel yields 0 rather than an undefined value.  COUNT is the
-    member count.
+    single-point voxel yields 0 rather than an undefined value.  It takes
+    two passes, the means first, each summing a voxel's points in cloud
+    order.  COUNT is the member count.
     """
-    if voxel_map.n_points != len(cloud):
+    if voxel_map.slot.size != len(cloud):
         raise ValueError(
-            f"voxel map covers {voxel_map.n_points} points, cloud has {len(cloud)}"
+            f"voxel map covers {voxel_map.slot.size} points, cloud has {len(cloud)}"
         )
     counts = voxel_map.counts
     if kind is FeatureKind.COUNT:
         values = counts.astype(np.float64)
     else:
-        z = cloud.points[voxel_map.point_indices, 2]
-        means = _segment_sums(z, voxel_map.offsets) / counts
-        sq_dev = (z - np.repeat(means, counts)) ** 2
-        ssd = _segment_sums(sq_dev, voxel_map.offsets)
-        # guard tiny negative rounding residue on constant-z voxels
-        values = np.maximum(ssd, 0.0) / counts
-    return FeatureMap(kind=kind, keys=voxel_map.keys, values=values,
+        slot = voxel_map.slot
+        z = cloud.points[:, 2]
+        means = np.bincount(slot, weights=z, minlength=counts.size) / counts
+        sq_dev = means[slot]
+        np.subtract(z, sq_dev, out=sq_dev)
+        np.square(sq_dev, out=sq_dev)
+        values = np.bincount(slot, weights=sq_dev, minlength=counts.size)
+        values /= counts
+    return FeatureMap(kind=kind, cells=voxel_map.occupied, values=values,
                       bounds=voxel_map.bounds)
 
 
@@ -277,20 +267,11 @@ def overlap_voxel_count(region: OverlapRegion) -> int:
     )
 
 
-def keys_in_region(keys: np.ndarray, region: OverlapRegion) -> np.ndarray:
-    """Boolean mask of packed keys whose voxel lies inside the region."""
-    if region.is_empty or keys.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    ijk = unpack_keys(keys)
-    return ((ijk >= region.mins) & (ijk <= region.maxs)).all(axis=1)
-
-
 def dump_feature_csv(feat: FeatureMap, path) -> None:
     """Debug dump: one "ix,iy,iz,feature" row per occupied voxel."""
-    ijk = unpack_keys(feat.keys)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ix", "iy", "iz", "feature"])
-        for k in range(len(feat.keys)):
-            writer.writerow([int(ijk[k, 0]), int(ijk[k, 1]), int(ijk[k, 2]),
-                             repr(float(feat.values[k]))])
+        for ijk, value in zip(feat.voxels(), feat.values):
+            writer.writerow([int(ijk[0]), int(ijk[1]), int(ijk[2]),
+                             repr(float(value))])

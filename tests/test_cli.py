@@ -196,6 +196,25 @@ class TestHistogram:
         assert code == 2
         capsys.readouterr()
 
+    def test_phi_off_without_co_occupied_voxels_exits_two(self, tmp_path,
+                                                          capsys):
+        """Boxes overlap, but no voxel is occupied in both scans."""
+        a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        save_scan(PointCloud(np.array([[0.5, 0.5, 0.5], [2.5, 0.5, 0.5]])), a)
+        save_scan(PointCloud(np.array([[1.5, 0.5, 0.5]])), b)
+        assert main(["histogram", str(a), str(b)]) == 0
+        capsys.readouterr()
+        code = main(["histogram", str(a), str(b), "--phi", "off"])
+        assert code == 2
+        assert "occupied in both scans" in capsys.readouterr().err
+
+    def test_box_above_the_dense_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "spread.xyz"
+        save_scan(PointCloud(np.array([[-1e5] * 3, [1e5] * 3])), path)
+        code = main(["histogram", str(path), str(path)])
+        assert code == 1
+        assert "200001 x 200001 x 200001" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_same_seed_gives_byte_identical_output(self, tmp_path, capsys):

@@ -27,7 +27,6 @@ from voxmi import (
     mi_objective,
     mutual_information,
     occupied_correlation,
-    pack_keys,
     read_histogram_csv,
     voxelize,
 )
@@ -35,19 +34,13 @@ from voxmi.errors import EmptyOverlapError
 
 
 def feature_map(cells: dict[tuple, float], kind=FeatureKind.VARZ) -> FeatureMap:
-    """Build a FeatureMap straight from {(i, j, k): value}."""
-    if cells:
-        ijk = np.array(sorted(cells), dtype=np.int64)
-        keys = pack_keys(ijk)
-        values = np.array([cells[tuple(t)] for t in ijk], dtype=np.float64)
-        bounds = np.array([ijk.min(axis=0), ijk.max(axis=0)])
-    else:
-        keys = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float64)
-        bounds = np.array([[1, 1, 1], [0, 0, 0]])
-    order = np.argsort(keys)
-    return FeatureMap(kind=kind, keys=keys[order], values=values[order],
-                      bounds=bounds)
+    """Build a FeatureMap straight from a non-empty {(i, j, k): value}."""
+    ijk = np.array(sorted(cells), dtype=np.int64)
+    bounds = np.array([ijk.min(axis=0), ijk.max(axis=0)])
+    flat = np.ravel_multi_index(tuple((ijk - bounds[0]).T),
+                                tuple(bounds[1] - bounds[0] + 1))
+    values = np.array([cells[tuple(t)] for t in ijk], dtype=np.float64)
+    return FeatureMap(kind=kind, cells=flat, values=values, bounds=bounds)
 
 
 VARZ_SPEC = BinningSpec(kind=FeatureKind.VARZ)

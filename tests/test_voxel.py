@@ -1,59 +1,32 @@
-"""Voxelization, per-voxel features, key packing, and overlap regions."""
+"""Voxelization, per-voxel features, dense boxes, and overlap regions."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from voxmi import (
+    BinningSpec,
+    BoxTooLargeError,
     FeatureKind,
     GridSpec,
     OutOfBoundsError,
     OverlapRegion,
     PointCloud,
+    build_joint_histogram,
     compute_feature_map,
     compute_overlap,
-    keys_in_region,
     overlap_voxel_count,
-    pack_keys,
-    unpack_keys,
     voxel_indices,
     voxelize,
 )
-from voxmi.voxel import KEY_INDEX_MAX, KEY_INDEX_MIN
+from voxmi.voxel import INDEX_MAX, INDEX_MIN, MAX_BOX_CELLS, box_shape
 
 
 def bounds(mins, maxs):
     return np.array([mins, maxs], dtype=np.int64)
-
-
-class TestKeyPacking:
-    def test_round_trip_over_full_range(self):
-        rng = np.random.default_rng(40)
-        ijk = rng.integers(KEY_INDEX_MIN, KEY_INDEX_MAX + 1, size=(5000, 3))
-        np.testing.assert_array_equal(unpack_keys(pack_keys(ijk)), ijk)
-
-    def test_corners_of_the_range(self):
-        corners = np.array([
-            [KEY_INDEX_MIN] * 3,
-            [KEY_INDEX_MAX] * 3,
-            [KEY_INDEX_MIN, KEY_INDEX_MAX, 0],
-            [0, 0, 0],
-        ])
-        np.testing.assert_array_equal(unpack_keys(pack_keys(corners)), corners)
-
-    def test_packing_is_injective_on_distinct_triples(self):
-        rng = np.random.default_rng(41)
-        ijk = rng.integers(-500, 500, size=(20000, 3))
-        uniq_triples = np.unique(ijk, axis=0).shape[0]
-        uniq_keys = np.unique(pack_keys(ijk)).shape[0]
-        assert uniq_triples == uniq_keys
-
-    def test_key_order_matches_zyx_lexicographic_x_major(self):
-        """Packed order sorts by x index first, then y, then z."""
-        a = pack_keys(np.array([[0, 5, 9]]))[0]
-        b = pack_keys(np.array([[1, -5, -9]]))[0]
-        assert a < b
 
 
 class TestVoxelIndices:
@@ -83,6 +56,26 @@ class TestVoxelIndices:
         with pytest.raises(OutOfBoundsError, match="point 1"):
             voxel_indices(cloud, GridSpec())
 
+    def test_corners_of_the_index_range(self):
+        corners = np.array([
+            [INDEX_MIN] * 3,
+            [INDEX_MAX] * 3,
+            [INDEX_MIN, INDEX_MAX, 0],
+            [0, 0, 0],
+        ])
+        cloud = PointCloud(corners + 0.5)
+        np.testing.assert_array_equal(voxel_indices(cloud, GridSpec()), corners)
+
+    def test_first_offending_point_is_named(self):
+        """Bounds flag the failure; the message still names the first point."""
+        pts = np.zeros((6, 3))
+        pts[2, 1] = INDEX_MIN - 0.5
+        pts[4, 2] = INDEX_MAX + 1.0
+        with pytest.raises(OutOfBoundsError, match="point 2 "):
+            voxel_indices(PointCloud(pts), GridSpec())
+        with pytest.raises(OutOfBoundsError, match="point 2 "):
+            voxelize(PointCloud(pts), GridSpec())
+
 
 class TestVoxelize:
     def test_every_point_lands_in_exactly_one_voxel(self):
@@ -90,20 +83,48 @@ class TestVoxelize:
         cloud = PointCloud(rng.uniform(-30, 30, size=(1000, 3)))
         vmap = voxelize(cloud, GridSpec())
         assert vmap.counts.sum() == 1000
-        assert np.array_equal(np.sort(vmap.point_indices), np.arange(1000))
+        assert (vmap.counts > 0).all()
+        np.testing.assert_array_equal(np.bincount(vmap.slot), vmap.counts)
+        assert len(vmap) == vmap.occupied.size == vmap.counts.size
 
     def test_groups_match_a_dict_oracle(self):
         rng = np.random.default_rng(43)
         cloud = PointCloud(rng.uniform(-5, 5, size=(300, 3)))
         vmap = voxelize(cloud, GridSpec())
-        oracle: dict[tuple, list[int]] = {}
-        ijk = np.floor(cloud.points).astype(np.int64)
-        for idx, key in enumerate(map(tuple, ijk)):
-            oracle.setdefault(key, []).append(idx)
-        got = vmap.as_dict()
-        assert set(got) == set(oracle)
-        for key, members in oracle.items():
-            np.testing.assert_array_equal(np.sort(got[key]), members)
+        oracle: dict[tuple, int] = {}
+        for key in map(tuple, np.floor(cloud.points).astype(np.int64)):
+            oracle[key] = oracle.get(key, 0) + 1
+        shape = tuple(vmap.bounds[1] - vmap.bounds[0] + 1)
+        voxels = np.stack(np.unravel_index(vmap.occupied, shape), axis=1)
+        got = {tuple(ijk): int(n) for ijk, n in
+               zip(voxels + vmap.bounds[0], vmap.counts)}
+        assert got == oracle
+
+    def test_cell_index_round_trips_to_voxel_indices(self):
+        rng = np.random.default_rng(40)
+        cloud = PointCloud(rng.uniform(-40, 25, size=(5000, 3)))
+        grid = GridSpec(origin=np.array([0.3, -0.7, 0.1]), resolution=0.75)
+        vmap = voxelize(cloud, grid)
+        shape = tuple(vmap.bounds[1] - vmap.bounds[0] + 1)
+        cell = vmap.occupied[vmap.slot]
+        ijk = np.stack(np.unravel_index(cell, shape), axis=1)
+        np.testing.assert_array_equal(ijk + vmap.bounds[0],
+                                      voxel_indices(cloud, grid))
+
+    def test_cell_index_is_injective_on_distinct_voxels(self):
+        rng = np.random.default_rng(41)
+        cloud = PointCloud(rng.uniform(-50, 50, size=(20000, 3)))
+        vmap = voxelize(cloud, GridSpec())
+        ijk = voxel_indices(cloud, GridSpec())
+        cell = vmap.occupied[vmap.slot]
+        assert np.unique(ijk, axis=0).shape[0] == np.unique(cell).size
+
+    def test_cells_are_ordered_x_major(self):
+        """Occupied cells sort by x index first, then y, then z."""
+        cloud = PointCloud(np.array([[1.5, -4.5, -8.5], [0.5, 5.5, 9.5]]))
+        feat = compute_feature_map(voxelize(cloud, GridSpec()), cloud,
+                                   FeatureKind.COUNT)
+        assert feat.voxels().tolist() == [[0, 5, 9], [1, -5, -9]]
 
     def test_bounds_are_tight(self):
         cloud = PointCloud(np.array([[0.5, -3.5, 2.5], [7.5, 1.5, -1.5]]))
@@ -138,11 +159,18 @@ class TestFeatureMaps:
     def test_varz_matches_numpy_population_variance(self):
         rng = np.random.default_rng(44)
         cloud = PointCloud(rng.uniform(-10, 10, size=(4000, 3)))
-        vmap = voxelize(cloud, GridSpec())
-        feat = compute_feature_map(vmap, cloud, FeatureKind.VARZ)
-        for i, ijk in enumerate(unpack_keys(vmap.keys)):
-            z = cloud.points[vmap.indices_for(ijk), 2]
-            np.testing.assert_allclose(feat.values[i], np.var(z), atol=1e-12)
+        feat = compute_feature_map(voxelize(cloud, GridSpec()), cloud,
+                                   FeatureKind.VARZ)
+        members: dict[tuple, list[float]] = {}
+        for key, z in zip(map(tuple, voxel_indices(cloud, GridSpec())),
+                          cloud.points[:, 2]):
+            members.setdefault(key, []).append(z)
+        got = feat.as_dict()
+        assert set(got) == set(members)
+        for key, zs in members.items():
+            np.testing.assert_allclose(got[key], np.var(zs), atol=1e-12)
+            assert feat.value_for(key) == got[key]
+        assert feat.value_for(feat.bounds[1] + 1) is None
 
     def test_varz_never_negative_on_tight_clusters(self):
         rng = np.random.default_rng(45)
@@ -187,13 +215,31 @@ class TestOverlap:
     def test_cube_region_counts_six_cubed(self):
         assert overlap_voxel_count(OverlapRegion(5, 10, 5, 10, 5, 10)) == 216
 
-    def test_keys_in_region_matches_brute_force(self):
-        rng = np.random.default_rng(49)
-        ijk = rng.integers(-6, 7, size=(400, 3))
-        keys = pack_keys(ijk)
-        region = OverlapRegion(-2, 3, -1, 4, 0, 2)
-        mask = keys_in_region(keys, region)
-        expected = ((ijk[:, 0] >= -2) & (ijk[:, 0] <= 3)
-                    & (ijk[:, 1] >= -1) & (ijk[:, 1] <= 4)
-                    & (ijk[:, 2] >= 0) & (ijk[:, 2] <= 2))
-        np.testing.assert_array_equal(mask, expected)
+
+class TestBoxLimit:
+    def test_spread_cloud_raises_naming_the_extents(self):
+        cloud = PointCloud(np.array([[-1e5] * 3, [1e5] * 3]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoxTooLargeError,
+                               match="200001 x 200001 x 200001"):
+                voxelize(cloud, GridSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_is_inclusive(self):
+        assert box_shape(np.array([[0, 0, 0], [MAX_BOX_CELLS - 1, 0, 0]])) \
+            == (MAX_BOX_CELLS, 1, 1)
+        with pytest.raises(BoxTooLargeError):
+            box_shape(np.array([[0, 0, 0], [MAX_BOX_CELLS, 0, 0]]))
+
+    def test_histogram_region_above_the_limit_raises(self):
+        cloud = PointCloud(np.array([[0.5, 0.5, 0.5]]))
+        feat = compute_feature_map(voxelize(cloud, GridSpec()), cloud,
+                                   FeatureKind.COUNT)
+        region = OverlapRegion(0, 1 << 10, 0, 1 << 10, 0, 1 << 10)
+        with pytest.raises(BoxTooLargeError):
+            build_joint_histogram(feat, feat, region,
+                                  BinningSpec(kind=FeatureKind.COUNT))
