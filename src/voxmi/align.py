@@ -157,8 +157,9 @@ def mi_at(scan_a: PointCloud, scan_b: PointCloud, pose: EulerPose,
     """Single objective evaluation with the full entropy breakdown.
 
     Unlike :func:`mi_objective` it raises instead of scoring the sentinel:
-    OutOfBoundsError, EmptyOverlapError, or ValueError when ``phi_enabled``
-    is off and no voxel is occupied in both scans.
+    OutOfBoundsError when moved points leave the grid, and EmptyOverlapError
+    when the occupied boxes miss or, with ``phi_enabled`` off, when no voxel
+    is occupied in both scans.
     """
     cfg = cfg or AlignmentConfig()
     feat_a = _prepare(scan_a, scan_b, cfg)

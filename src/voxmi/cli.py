@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,8 +43,10 @@ from .mi import (
 )
 from .optim import DEFAULT_INITIAL_STEPS, SimplexConfig
 from .scan_io import (
+    SCAN_FORMATS,
     load_kitti_poses,
     load_scan,
+    load_transform,
     relative_ground_truth,
     save_scan,
 )
@@ -64,31 +65,8 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 
 def _parse_pose_arg(text: str) -> np.ndarray:
     """A 4x4 transform from either inline numbers or a matrix file."""
-    path = Path(text)
-    if path.exists():
-        fields = path.read_text().split()
-        try:
-            values = np.array([float(f) for f in fields])
-        except ValueError:
-            raise FormatError(path, "non-numeric field in pose file") from None
-        if values.size == 12:
-            t = np.eye(4)
-            t[:3, :4] = values.reshape(3, 4)
-        elif values.size == 16:
-            t = values.reshape(4, 4)
-        else:
-            raise FormatError(
-                path, f"expected 12 or 16 numbers, got {values.size}")
-        r = t[:3, :3]
-        drift = float(np.abs(r.T @ r - np.eye(3)).max())
-        if drift > 1e-6:
-            raise FormatError(
-                path, f"rotation block departs from orthonormal by "
-                f"{drift:.3e} (> 1e-06)")
-        if drift > 1e-9:
-            u, _, vt = np.linalg.svd(r)
-            t[:3, :3] = u @ vt
-        return t
+    if Path(text).exists():
+        return load_transform(text)
     parts = text.replace(",", " ").split()
     if len(parts) != 6:
         raise ValueError(
@@ -119,7 +97,7 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
                      "(default 2.0 m^2 for varz, 64 for count)")
     sub.add_argument("--phi", choices=["on", "off"], default="on",
                      help="include the empty-voxel bin in MI (default on)")
-    sub.add_argument("--format", choices=["bin", "xyz", "ply"], default=None,
+    sub.add_argument("--format", choices=SCAN_FORMATS, default=None,
                      help="scan format override (default: by file extension)")
 
 
@@ -167,15 +145,6 @@ def _cmd_align(args) -> int:
     if args.out:
         report.write_json(args.out)
         print(f"report written to {args.out}")
-    log_dir = os.environ.get("VOXMI_LOG_DIR")
-    if log_dir:
-        trace_dir = Path(log_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = trace_dir / "align_trace.csv"
-        with open(trace_path, "w", newline="\n") as fh:
-            fh.write("iteration,best_mi\n")
-            for it, value in enumerate(report.mi_trace):
-                fh.write(f"{it},{value!r}\n")
     return 0 if report.termination.startswith("converged") else 2
 
 
@@ -212,9 +181,6 @@ def _cmd_histogram(args) -> int:
     feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,
                                  cfg.feature)
     hist = joint_histogram_at(feat_a, scan_b, t, cfg.grid, cfg.binning)
-    if not cfg.phi_enabled and not hist.counts[1:, 1:].any():
-        raise EmptyOverlapError("no voxel is occupied in both scans, so "
-                                "MI without the no-feature bin is undefined")
     result = mutual_information(hist, include_phi=cfg.phi_enabled)
     corr = occupied_correlation(hist.counts)
     print(f"voxels in overlap region: {hist.total}")
@@ -390,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-out", default=None,
                    help="also write a second sampling of the same scene")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["bin", "xyz", "ply"], default=None)
+    p.add_argument("--format", choices=SCAN_FORMATS, default=None)
     _add_scene_options(p)
     p.set_defaults(func=_cmd_synth)
     return parser
@@ -404,15 +370,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (NoOverlapError, EmptyOverlapError) as exc:
+    except (VoxmiError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (VoxmiError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (NoOverlapError, EmptyOverlapError)) else 1
 
 
 if __name__ == "__main__":

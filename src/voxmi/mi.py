@@ -171,9 +171,16 @@ def mutual_information(hist: JointHistogram,
     """MI = H(X) + H(Y) - H(X, Y) over the joint histogram.
 
     With ``include_phi=False`` the no-feature row and column are dropped and
-    MI is computed over voxels occupied in both scans only.
+    MI is computed over voxels occupied in both scans only.  Raises
+    EmptyOverlapError when the scored counts have no mass: with phi off,
+    when no voxel is occupied in both scans.
     """
     m = hist.counts if include_phi else hist.counts[1:, 1:]
+    if not m.any():
+        raise EmptyOverlapError(
+            "overlap region is empty" if include_phi else
+            "no voxel is occupied in both scans, so MI without the "
+            "no-feature bin is undefined")
     h_x = entropy(m.sum(axis=1))
     h_y = entropy(m.sum(axis=0))
     h_xy = entropy(m)
@@ -210,18 +217,17 @@ def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud, pose: EulerPose,
     """One objective evaluation: MI of the joint histogram at ``pose``.
 
     Scan A's feature map is precomputed once per run and passed in.  Returns
-    the worst-possible sentinel for candidate poses with no overlap (or that
-    push points off the representable grid) so the optimizer retreats.
+    the worst-possible sentinel, so the optimizer retreats, for candidate
+    poses that push points off the representable grid (OutOfBoundsError) or
+    leave no usable overlap (EmptyOverlapError: the occupied boxes miss, or
+    phi is off and no voxel is occupied in both scans).  Any other error,
+    such as a kind mismatch or an empty scan B, propagates.
     """
     try:
         hist = joint_histogram_at(feat_a, cloud_b, euler_to_transform(pose),
                                   grid, spec)
-    except (OutOfBoundsError, EmptyOverlapError):
-        return NO_OVERLAP_SENTINEL
-    try:
         return mutual_information(hist, include_phi=include_phi).mi
-    except ValueError:
-        # possible only with include_phi=False and zero co-occupied voxels
+    except (OutOfBoundsError, EmptyOverlapError):
         return NO_OVERLAP_SENTINEL
 
 

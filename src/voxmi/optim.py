@@ -9,7 +9,6 @@ negated objective through one canonical reflect/expand/contract/shrink loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,6 @@ class OptimResult:
     iterations: int
     termination: str  # converged_f | converged_x | max_iter
     trace: list[float] = field(default_factory=list)
-    trace_spread: list[float] = field(default_factory=list)
     n_evaluations: int = 0
 
 
@@ -99,7 +97,6 @@ def nelder_mead_maximize(f, x0, cfg: SimplexConfig) -> OptimResult:
     iteration = 0
     restarts_left = cfg.restarts
     trace: list[float] = []
-    trace_spread: list[float] = []
     termination = "max_iter"
 
     while True:
@@ -108,7 +105,6 @@ def nelder_mead_maximize(f, x0, cfg: SimplexConfig) -> OptimResult:
         f_spread = float(values[-1] - values[0])
         x_spread = float(np.linalg.norm(simplex - simplex[0], axis=1).max())
         trace.append(-float(values[0]))
-        trace_spread.append(f_spread)
 
         converged = None
         if f_spread < cfg.f_tol:
@@ -170,15 +166,6 @@ def nelder_mead_maximize(f, x0, cfg: SimplexConfig) -> OptimResult:
         iterations=iteration,
         termination=termination,
         trace=trace,
-        trace_spread=trace_spread,
         n_evaluations=state["n_eval"],
     )
 
-
-def write_trace_csv(result: OptimResult, path) -> None:
-    """Iteration trace: iteration index, best objective so far, f-spread."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "best_value", "spread"])
-        for i, (best, spread) in enumerate(zip(result.trace, result.trace_spread)):
-            writer.writerow([i, repr(best), repr(spread)])

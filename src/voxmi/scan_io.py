@@ -10,6 +10,8 @@ Supported scan formats:
 
 Pose tracks use the KITTI odometry convention: one line per scan, twelve
 floats forming the row-major top 3x4 of a world-from-sensor transform.
+A single-transform file holds one such record or a full 4x4 matrix
+(sixteen numbers).  Bad records raise FormatError naming the file.
 All writers format floats with ``repr`` so save/load round trips are exact.
 """
 
@@ -212,45 +214,87 @@ def save_ply_ascii(cloud: PointCloud, path) -> None:
             fh.write(" ".join(fields) + "\n")
 
 
-_LOADERS = {".bin": load_kitti_bin, ".xyz": load_xyz_text,
-            ".txt": load_xyz_text, ".ply": load_ply_ascii}
-_SAVERS = {".bin": save_kitti_bin, ".xyz": save_xyz_text,
-           ".txt": save_xyz_text, ".ply": save_ply_ascii}
-SCAN_FORMATS = ("bin", "xyz", "ply")
+# name: (extensions, loader, saver)
+_FORMATS = {
+    "bin": ((".bin",), load_kitti_bin, save_kitti_bin),
+    "xyz": ((".xyz", ".txt"), load_xyz_text, save_xyz_text),
+    "ply": ((".ply",), load_ply_ascii, save_ply_ascii),
+}
+SCAN_FORMATS = tuple(_FORMATS)
+
+
+def _scan_format(path: Path, fmt: str | None):
+    """The table entry for ``fmt``, or for the extension when it is None."""
+    if fmt is not None:
+        if fmt not in _FORMATS:
+            raise FormatError(path, f"unknown scan format {fmt!r}")
+        return _FORMATS[fmt]
+    for entry in _FORMATS.values():
+        if path.suffix.lower() in entry[0]:
+            return entry
+    raise FormatError(
+        path, f"cannot infer format from extension {path.suffix!r}; "
+        "pass fmt explicitly")
 
 
 def load_scan(path, fmt: str | None = None) -> PointCloud:
     """Load a scan, dispatching on extension unless ``fmt`` overrides it."""
     path = Path(path)
-    if fmt is not None:
-        loader = {"bin": load_kitti_bin, "xyz": load_xyz_text,
-                  "ply": load_ply_ascii}.get(fmt)
-        if loader is None:
-            raise FormatError(path, f"unknown scan format {fmt!r}")
-        return loader(path)
-    loader = _LOADERS.get(path.suffix.lower())
-    if loader is None:
-        raise FormatError(
-            path, f"cannot infer format from extension {path.suffix!r}; "
-            "pass fmt explicitly")
+    _, loader, _ = _scan_format(path, fmt)
     return loader(path)
 
 
 def save_scan(cloud: PointCloud, path, fmt: str | None = None) -> None:
+    """Save a scan, dispatching on extension unless ``fmt`` overrides it."""
     path = Path(path)
-    if fmt is not None:
-        saver = {"bin": save_kitti_bin, "xyz": save_xyz_text,
-                 "ply": save_ply_ascii}.get(fmt)
-        if saver is None:
-            raise FormatError(path, f"unknown scan format {fmt!r}")
-        saver(cloud, path)
-        return
-    saver = _SAVERS.get(path.suffix.lower())
-    if saver is None:
-        raise FormatError(
-            path, f"cannot infer format from extension {path.suffix!r}; "
-            "pass fmt explicitly")
+    _, _, saver = _scan_format(path, fmt)
     saver(cloud, path)
+
+
+def _parse_transform(fields: list[str], path, sizes: tuple[int, ...],
+                     line: int | None = None) -> np.ndarray:
+    """One pose record: 12 (row-major 3x4) or 16 (4x4) numbers as a 4x4.
+
+    Rotation blocks that drift from orthonormality by at most 1e-6 are
+    re-orthonormalized via SVD; anything worse, and any other broken
+    rigid-transform invariant, is a format error naming ``path``/``line``.
+    """
+    if len(fields) not in sizes:
+        raise FormatError(
+            path, f"expected {' or '.join(map(str, sizes))} numbers, got "
+            f"{len(fields)}", line=line)
+    try:
+        values = np.array([float(f) for f in fields])
+    except ValueError:
+        raise FormatError(path, "non-numeric field", line=line) from None
+    if not np.isfinite(values).all():
+        raise FormatError(path, "non-finite value", line=line)
+    t = np.eye(4)
+    t[:values.size // 4] = values.reshape(-1, 4)
+    r = t[:3, :3]
+    drift = float(np.abs(r.T @ r - np.eye(3)).max())
+    if drift > 1e-6:
+        raise FormatError(
+            path, f"rotation block departs from orthonormal by "
+            f"{drift:.3e} (> 1e-06)", line=line)
+    if drift > 1e-9:
+        u, _, vt = np.linalg.svd(r)
+        t[:3, :3] = u @ vt
+    try:
+        return validate_transform(t)
+    except ValueError as exc:
+        raise FormatError(path, str(exc), line=line) from None
+
+
+def load_transform(path) -> np.ndarray:
+    """Read one transform: 12 or 16 whitespace-separated numbers in a file.
+
+    Twelve numbers are the row-major top 3x4 of the transform (one KITTI
+    pose line); sixteen are the full 4x4 matrix.  Records are checked as in
+    :func:`load_kitti_poses`.
+    """
+    path = Path(path)
+    return _parse_transform(path.read_text().split(), path, (12, 16))
 
 
 def load_kitti_poses(path) -> PoseTrack:
@@ -263,33 +307,9 @@ def load_kitti_poses(path) -> PoseTrack:
     matrices = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.strip()
-            if not body:
-                continue
-            fields = body.split()
-            if len(fields) != 12:
-                raise FormatError(
-                    path, f"expected 12 fields, got {len(fields)}",
-                    line=lineno)
-            try:
-                values = np.array([float(f) for f in fields])
-            except ValueError:
-                raise FormatError(path, "non-numeric field", line=lineno
-                                  ) from None
-            if not np.isfinite(values).all():
-                raise FormatError(path, "non-finite value", line=lineno)
-            t = np.eye(4)
-            t[:3, :4] = values.reshape(3, 4)
-            r = t[:3, :3]
-            drift = float(np.abs(r.T @ r - np.eye(3)).max())
-            if drift > 1e-6:
-                raise FormatError(
-                    path, f"rotation block departs from orthonormal by "
-                    f"{drift:.3e} (> 1e-06)", line=lineno)
-            if drift > 1e-9:
-                u, _, vt = np.linalg.svd(r)
-                t[:3, :3] = u @ vt
-            matrices.append(t)
+            fields = line.split()
+            if fields:
+                matrices.append(_parse_transform(fields, path, (12,), lineno))
     if not matrices:
         raise FormatError(path, "pose file contains no poses")
     return PoseTrack(np.stack(matrices))

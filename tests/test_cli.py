@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -69,19 +71,15 @@ class TestAlign:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_json_report_and_env_trace(self, scans, tmp_path, monkeypatch,
-                                       capsys):
-        monkeypatch.setenv("VOXMI_LOG_DIR", str(tmp_path / "logs"))
+    def test_json_report_carries_the_mi_trace(self, scans, tmp_path,
+                                              capsys):
         report_path = tmp_path / "report.json"
         code = main(["align", scans["a"], scans["a"],
                      "--simplex", SMALL_SIMPLEX, "--max-iterations", "200",
                      "--out", str(report_path)])
         assert code == 0
-        assert report_path.exists()
-        trace = (tmp_path / "logs" / "align_trace.csv").read_text()
-        lines = trace.strip().splitlines()
-        assert lines[0] == "iteration,best_mi"
-        assert len(lines) > 2
+        report = json.loads(report_path.read_text())
+        assert len(report["mi_trace"]) > 2
         capsys.readouterr()
 
     def test_pose_file_init(self, scans, tmp_path, capsys):
@@ -93,6 +91,21 @@ class TestAlign:
                      "--simplex", SMALL_SIMPLEX, "--max-iterations", "200"])
         assert code == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("1 0 0 0 0 1 0 0 0 0 1 nan\n", "non-finite value"),
+        ("1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 2\n", "last row must be"),
+    ])
+    def test_bad_pose_file_exits_one_and_names_the_path(self, scans, tmp_path,
+                                                        capsys, text, reason):
+        pose_file = tmp_path / "init.txt"
+        pose_file.write_text(text)
+        code = main(["align", scans["a"], scans["a"],
+                     "--init", str(pose_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pose_file}: ")
+        assert reason in err
 
     def test_malformed_pose_literal_exits_one(self, scans, capsys):
         code = main(["align", scans["a"], scans["a"], "--init", "1 2 3 4 5"])

@@ -198,6 +198,14 @@ class TestMutualInformation:
         # the dominant phi cell concentrates the full joint, shrinking H
         assert with_phi.h_xy < occupied.h_xy
 
+    def test_phi_excluded_without_co_occupied_mass_raises(self):
+        counts = np.zeros((4, 4), dtype=np.int64)
+        counts[0, 0] = 10
+        counts[0, 2] = counts[3, 0] = 4
+        assert mutual_information(hist_from_counts(counts)).mi >= 0.0
+        with pytest.raises(EmptyOverlapError, match="occupied in both"):
+            mutual_information(hist_from_counts(counts), include_phi=False)
+
 
 class TestBuildJointHistogram:
     def test_region_with_no_occupied_voxels_is_all_phi(self):

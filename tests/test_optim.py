@@ -10,7 +10,6 @@ from voxmi import (
     OptimResult,
     SimplexConfig,
     nelder_mead_maximize,
-    write_trace_csv,
 )
 
 TIGHT = dict(max_iterations=5000, f_tol=1e-14, x_tol=1e-10)
@@ -159,18 +158,3 @@ class TestValidation:
             SimplexConfig(initial_steps=(1.0,), f_tol=0.0)
         with pytest.raises(ValueError):
             SimplexConfig(initial_steps=(1.0,), restarts=-1)
-
-
-class TestTraceCsv:
-    def test_written_rows_match_the_trace(self, tmp_path):
-        cfg = SimplexConfig(initial_steps=(1.0, 1.0), max_iterations=50)
-        res = nelder_mead_maximize(neg_quadratic([0.3, 0.7]),
-                                   np.zeros(2), cfg)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(res, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,best_value,spread"
-        assert len(lines) == 1 + len(res.trace)
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[1]) == res.trace[0]
