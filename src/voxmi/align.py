@@ -1,10 +1,10 @@
 """End-to-end alignment: feature map of scan A once, then MI maximization.
 
-The reference scan A is voxelized and featurized a single time; every
-objective evaluation transforms scan B by the candidate pose, re-voxelizes
-it on the shared grid (anchored at scan A's frame origin), recomputes the
-overlap region, and scores mutual information.  A Nelder-Mead search over
-the 6-DOF pose drives the loop.
+The reference scan A is voxelized and featurized a single time, and scan B
+is laid out once as a prepared scan; every objective evaluation transforms
+scan B by the candidate pose, re-voxelizes it on the shared grid (anchored
+at scan A's frame origin) over its overlap with A, and scores mutual
+information.  A Nelder-Mead search over the 6-DOF pose drives the loop.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoOverlapError
+from .errors import EmptyOverlapError, NoOverlapError, OutOfBoundsError
 from .geometry import (
     EulerPose,
     PointCloud,
@@ -27,7 +27,7 @@ from .mi import (
     NO_OVERLAP_SENTINEL,
     BinningSpec,
     MIResult,
-    joint_histogram_at,
+    PreparedScan,
     mi_objective,
     mutual_information,
 )
@@ -104,12 +104,19 @@ class AlignmentReport:
             fh.write("\n")
 
 
-def _prepare(scan_a: PointCloud, scan_b: PointCloud, cfg: AlignmentConfig):
+def _prepare(scan_a: PointCloud, scan_b: PointCloud,
+             cfg: AlignmentConfig) -> PreparedScan:
     if len(scan_a) == 0 or len(scan_b) == 0:
         raise ValueError("both scans must be non-empty")
     vox_a = voxelize(scan_a, cfg.grid)
     feat_a = compute_feature_map(vox_a, scan_a, cfg.feature)
-    return feat_a
+    return PreparedScan(feat_a, scan_b, cfg.grid, cfg.binning)
+
+
+def _score(prepared: PreparedScan, pose: EulerPose,
+           cfg: AlignmentConfig) -> MIResult:
+    hist = prepared.histogram(euler_to_transform(pose))
+    return mutual_information(hist, include_phi=cfg.phi_enabled)
 
 
 def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
@@ -117,16 +124,18 @@ def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
     """Estimate the transform that projects scan B onto scan A.
 
     ``t0`` is the initial guess for that transform.  Raises NoOverlapError
-    when no probed pose produces any overlap between occupied bounds.
+    when no probed pose gives a usable overlap, with the reason the initial
+    pose gave none.
     """
     cfg = cfg or AlignmentConfig()
     t0 = validate_transform(t0)
-    feat_a = _prepare(scan_a, scan_b, cfg)
+    prepared = _prepare(scan_a, scan_b, cfg)
     initial_pose = transform_to_euler(t0)
 
     def objective(x: np.ndarray) -> float:
-        return mi_objective(feat_a, scan_b, EulerPose.from_vector(x),
-                            cfg.grid, cfg.binning, include_phi=cfg.phi_enabled)
+        return mi_objective(prepared.feat_a, prepared,
+                            EulerPose.from_vector(x), cfg.grid, cfg.binning,
+                            include_phi=cfg.phi_enabled)
 
     start = time.perf_counter()
     result: OptimResult = nelder_mead_maximize(
@@ -135,9 +144,12 @@ def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
     wall = time.perf_counter() - start
 
     if result.best_value <= NO_OVERLAP_SENTINEL:
-        raise NoOverlapError(
-            "no candidate pose produced overlapping occupied bounds"
-        )
+        # the initial pose scored the sentinel too, so this raises
+        try:
+            _score(prepared, initial_pose, cfg)
+        except (OutOfBoundsError, EmptyOverlapError) as exc:
+            raise NoOverlapError("no candidate pose gave a usable overlap; "
+                                 f"at the initial pose: {exc}") from exc
     estimated_pose = EulerPose.from_vector(result.best_x).normalized()
     final_mi = objective(estimated_pose.as_vector())
     return AlignmentReport(
@@ -162,10 +174,7 @@ def mi_at(scan_a: PointCloud, scan_b: PointCloud, pose: EulerPose,
     is occupied in both scans.
     """
     cfg = cfg or AlignmentConfig()
-    feat_a = _prepare(scan_a, scan_b, cfg)
-    hist = joint_histogram_at(feat_a, scan_b, euler_to_transform(pose),
-                              cfg.grid, cfg.binning)
-    return mutual_information(hist, include_phi=cfg.phi_enabled)
+    return _score(_prepare(scan_a, scan_b, cfg), pose, cfg)
 
 
 def sweep_axis(scan_a: PointCloud, scan_b: PointCloud, base_pose: EulerPose,
@@ -179,14 +188,14 @@ def sweep_axis(scan_a: PointCloud, scan_b: PointCloud, base_pose: EulerPose,
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     cfg = cfg or AlignmentConfig()
-    feat_a = _prepare(scan_a, scan_b, cfg)
+    prepared = _prepare(scan_a, scan_b, cfg)
     base = base_pose.as_vector()
     idx = SWEEP_AXES.index(axis)
     out = []
     for v in values:
         x = base.copy()
         x[idx] = v
-        mi = mi_objective(feat_a, scan_b, EulerPose.from_vector(x),
+        mi = mi_objective(prepared.feat_a, prepared, EulerPose.from_vector(x),
                           cfg.grid, cfg.binning, include_phi=cfg.phi_enabled)
         out.append((float(v), mi))
     return out

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .geometry import EulerPose, euler_to_transform, transform_to_euler
 from .mi import (
+    NO_OVERLAP_SENTINEL,
     BinningSpec,
     dump_histogram_csv,
     joint_histogram_at,
@@ -161,6 +162,9 @@ def _cmd_sweep(args) -> int:
     curve = sweep_axis(scan_a, scan_b, base_pose, args.axis, values, cfg)
     unit = "deg" if rotational else "m"
     best_idx = int(np.argmax([mi for _, mi in curve]))
+    if curve[best_idx][1] <= NO_OVERLAP_SENTINEL:
+        raise NoOverlapError(f"no {args.axis} value in [{lo:g}, {hi:g}] "
+                             f"{unit} gives a usable overlap")
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(f"# axis={args.axis} units={unit}\n")

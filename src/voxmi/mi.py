@@ -2,10 +2,12 @@
 
 Features of both scans inside the overlap region are binned into a 2D
 histogram whose bin 0 on each axis is reserved for the no-feature value of
-unoccupied voxels.  Each scan's bins form a dense raster over its occupied
-box; both are sliced over the region and every cell is counted, so voxels
-empty in both scans land in cell (0, 0) and empty space contributes
-alignment evidence.  Mutual information is H(X) + H(Y) - H(X, Y) in nats.
+unoccupied voxels.  Each scan's bins form a dense raster over its box; both
+are sliced over the region and every cell is counted, so voxels empty in
+both scans land in cell (0, 0) and empty space contributes alignment
+evidence.  Mutual information is H(X) + H(Y) - H(X, Y) in nats.
+An evaluation runs on a :class:`PreparedScan`, which bins scan B over the
+overlap region only.
 """
 
 from __future__ import annotations
@@ -16,17 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyOverlapError, OutOfBoundsError
-from .geometry import EulerPose, PointCloud, apply_transform, euler_to_transform
+from .geometry import EulerPose, PointCloud, euler_to_transform, validate_transform
 from .voxel import (
     FeatureKind,
     FeatureMap,
+    GridScan,
     GridSpec,
     OverlapRegion,
     box_shape,
-    compute_feature_map,
     compute_overlap,
-    voxelize,
 )
+
+# The stages of one evaluation on a prepared scan.  Each is a module global
+# called once per evaluation, so that a tracer can time a stage by name.
+apply_transform = GridScan.apply_transform
+voxelize = GridScan.voxelize
+compute_feature_map = GridScan.compute_feature_map
 
 # Worst-possible objective value: returned for candidate poses with no
 # overlap so the optimizer retreats instead of aborting mid-run.
@@ -112,7 +119,8 @@ def _region_bins(feat: FeatureMap, region: OverlapRegion, shape,
     """Bins of ``feat`` on every cell of the region; 0 outside its box.
 
     The bin raster of the whole box is made once per spec and cached on the
-    feature map, so scan A is binned once per run.
+    feature map, so scan A is binned once per run.  A region inside the box
+    gets a view of the raster, not a copy.
     """
     raster = feat.binned.get(spec)
     if raster is None:
@@ -122,10 +130,13 @@ def _region_bins(feat: FeatureMap, region: OverlapRegion, shape,
         feat.binned[spec] = raster
     lo = np.maximum(region.mins, feat.bounds[0])
     hi = np.maximum(np.minimum(region.maxs, feat.bounds[1]) + 1, lo)
+    inner = raster[tuple(slice(a - m, b - m)
+                         for a, b, m in zip(lo, hi, feat.bounds[0]))]
+    if inner.shape == shape:
+        return inner
     out = np.zeros(shape, dtype=raster.dtype)
     out[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, region.mins))] = \
-        raster[tuple(slice(a - m, b - m)
-                     for a, b, m in zip(lo, hi, feat.bounds[0]))]
+        inner
     return out
 
 
@@ -190,42 +201,68 @@ def mutual_information(hist: JointHistogram,
     return MIResult(mi=mi, h_x=h_x, h_y=h_y, h_xy=h_xy)
 
 
+class PreparedScan(GridScan):
+    """Scan B laid out once for evaluations against scan A's features.
+
+    A :class:`voxmi.voxel.GridScan` of B that also holds scan A's feature
+    map and the binning.  Every dense array of an evaluation lies in A's box
+    widened by one cell, so only that box is checked against the dense-grid
+    limit, here.  Concurrent evaluations each need their own prepared scan.
+    """
+
+    def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
+                 grid: GridSpec, spec: BinningSpec):
+        if feat_a.kind is not spec.kind:
+            raise ValueError("feature map and binning spec must share one kind")
+        box_shape(feat_a.bounds + [[-1], [1]])  # the only box-limit check
+        super().__init__(cloud_b, grid, spec.kind)
+        self.feat_a, self.spec = feat_a, spec
+
+    def histogram(self, transform: np.ndarray) -> JointHistogram:
+        """Joint histogram at the rigid ``transform`` (not validated).
+        Raises OutOfBoundsError when moved points leave the grid's index
+        range and EmptyOverlapError when the boxes miss."""
+        apply_transform(self, transform)
+        region = compute_overlap(self.feat_a.bounds, self.bounds)
+        if region.is_empty:
+            raise EmptyOverlapError("scans do not overlap at this pose")
+        feat_b = compute_feature_map(self, voxelize(self, region))
+        return build_joint_histogram(self.feat_a, feat_b, region, self.spec)
+
+
 def joint_histogram_at(feat_a: FeatureMap, cloud_b: PointCloud,
                        transform: np.ndarray, grid: GridSpec,
                        spec: BinningSpec) -> JointHistogram:
     """Joint histogram of scan A against scan B moved by ``transform``.
 
-    The one evaluation pipeline: transform B, voxelize it on the shared
-    grid, featurize it, take the overlap box with A and bin both feature
-    maps over it.  Raises OutOfBoundsError when moved points leave the
-    grid's index range, BoxTooLargeError when moved B's occupied box has
-    too many cells, and EmptyOverlapError when the occupied boxes miss.
+    One evaluation on a one-shot :class:`PreparedScan`.  Raises
+    OutOfBoundsError when moved points leave the grid's index range,
+    BoxTooLargeError when A's box is too large, and EmptyOverlapError when
+    the occupied boxes miss.
     """
-    if feat_a.kind is not spec.kind:
-        raise ValueError("feature map and binning spec must share one kind")
-    moved = apply_transform(cloud_b, transform)
-    feat_b = compute_feature_map(voxelize(moved, grid), moved, spec.kind)
-    region = compute_overlap(feat_a.bounds, feat_b.bounds)
-    if region.is_empty:
-        raise EmptyOverlapError("scans do not overlap at this pose")
-    return build_joint_histogram(feat_a, feat_b, region, spec)
+    prepared = PreparedScan(feat_a, cloud_b, grid, spec)
+    return prepared.histogram(validate_transform(transform))
 
 
-def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud, pose: EulerPose,
-                 grid: GridSpec, spec: BinningSpec,
+def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud | PreparedScan,
+                 pose: EulerPose, grid: GridSpec, spec: BinningSpec,
                  include_phi: bool = True) -> float:
     """One objective evaluation: MI of the joint histogram at ``pose``.
 
-    Scan A's feature map is precomputed once per run and passed in.  Returns
-    the worst-possible sentinel, so the optimizer retreats, for candidate
-    poses that push points off the representable grid (OutOfBoundsError) or
-    leave no usable overlap (EmptyOverlapError: the occupied boxes miss, or
-    phi is off and no voxel is occupied in both scans).  Any other error,
-    such as a kind mismatch or an empty scan B, propagates.
+    Scan A's feature map is precomputed once per run and passed in.
+    ``cloud_b`` is scan B, or a :class:`PreparedScan` made from ``feat_a``,
+    ``grid`` and ``spec``, which callers scoring many poses pass to reuse
+    its buffers.  Returns the worst-possible sentinel, so the optimizer
+    retreats, for candidate poses that push points off the representable
+    grid (OutOfBoundsError) or leave no usable overlap (EmptyOverlapError:
+    the occupied boxes miss, or phi is off and no voxel is occupied in both
+    scans).  Any other error, such as a kind mismatch or an empty scan B,
+    propagates.
     """
+    prepared = cloud_b if isinstance(cloud_b, PreparedScan) else \
+        PreparedScan(feat_a, cloud_b, grid, spec)
     try:
-        hist = joint_histogram_at(feat_a, cloud_b, euler_to_transform(pose),
-                                  grid, spec)
+        hist = prepared.histogram(euler_to_transform(pose))
         return mutual_information(hist, include_phi=include_phi).mi
     except (OutOfBoundsError, EmptyOverlapError):
         return NO_OVERLAP_SENTINEL

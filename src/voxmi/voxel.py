@@ -2,17 +2,18 @@
 
 A scan is dropped onto a shared cubic grid; each occupied voxel gets one
 scalar feature (z-height variance or point count).  A point's voxel is a
-linear (C-order, x-major) cell index inside the scan's occupied box, the
-tight integer box around its voxels.  One ``np.bincount`` over the box finds
-the occupied cells; per-voxel sums are then ``np.bincount`` over each
-point's slot among those cells, in point order.  A cell with no points
-carries the no-feature value.  A box of more than ``MAX_BOX_CELLS`` cells is
-refused with BoxTooLargeError before any dense array is allocated.
+linear (C-order, x-major) cell index inside a box of cells: the scan's
+occupied box, the tight integer box around its voxels, or for a scan being
+scored (:class:`GridScan`) its overlap with the other scan.  One
+``np.bincount`` over the box finds the occupied cells; per-voxel sums are
+then ``np.bincount`` over each point's slot among those cells, in point
+order.  A cell with no points carries the no-feature value.  A box of more
+than ``MAX_BOX_CELLS`` cells is refused with BoxTooLargeError before any
+dense array is allocated.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 
@@ -77,15 +78,17 @@ def box_shape(bounds) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class VoxelIndexMap:
-    """Points of one cloud assigned to the occupied cells of its box.
+    """Points of one cloud assigned to the occupied cells of a box.
 
-    ``bounds`` is the tight integer box over occupied voxel indices, shaped
-    (2, 3) as [mins; maxs].  ``occupied`` holds the ascending linear
+    ``bounds`` is the integer box, shaped (2, 3) as [mins; maxs]: the tight
+    box over occupied voxel indices, or for :meth:`GridScan.voxelize` a
+    region with its guard shell.  ``occupied`` holds the ascending linear
     (C-order) indices of the cells with at least one point, ``counts``
-    their point counts and ``slot`` each point's position in ``occupied``.
+    their point counts and ``slot`` each point's position in ``occupied``
+    (None when not needed).
     """
 
-    slot: np.ndarray
+    slot: np.ndarray | None
     occupied: np.ndarray
     counts: np.ndarray
     bounds: np.ndarray
@@ -98,7 +101,8 @@ class VoxelIndexMap:
 class FeatureMap:
     """Per-voxel scalar features over the occupied cells of a box.
 
-    ``bounds`` is the occupied box as (2, 3) [mins; maxs], ``cells`` the
+    ``bounds`` is a (2, 3) [mins; maxs] box holding every occupied cell
+    (the tight occupied box, for a whole scan), ``cells`` the
     ascending linear (C-order) indices of the occupied cells inside it and
     ``values`` their features.  Every other cell carries the no-feature
     value.  ``binned`` caches, per binning spec, the box's bin raster that
@@ -162,25 +166,62 @@ class OverlapRegion:
         return np.array([self.x_max, self.y_max, self.z_max], dtype=np.int64)
 
 
+def _floor_rows(rows: np.ndarray, grid: GridSpec, point) -> np.ndarray:
+    """Floor (3, N) metre coordinates in place onto the grid, ``- origin``
+    then ``/ resolution``, and return their (2, 3) integer bounds.  Raises
+    OutOfBoundsError naming the first point, ``point(i)`` in metres, whose
+    index leaves [INDEX_MIN, INDEX_MAX]; only the bounds are checked unless
+    one does."""
+    # subtracting 0 and dividing by 1 change no bit, so are skipped
+    for axis in np.flatnonzero(grid.origin):
+        rows[axis] -= grid.origin[axis]
+    if grid.resolution != 1.0:
+        rows /= grid.resolution
+    np.floor(rows, out=rows)
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    if (lo < INDEX_MIN).any() or (hi > INDEX_MAX).any():
+        ijk = rows.T.astype(np.int64)
+        bad = (ijk < INDEX_MIN) | (ijk > INDEX_MAX)
+        i = int(np.nonzero(bad.any(axis=1))[0][0])
+        raise OutOfBoundsError(
+            f"point {i} at {point(i)} maps to voxel index "
+            f"{ijk[i]} outside [{INDEX_MIN}, {INDEX_MAX}]"
+        )
+    return np.stack([lo, hi]).astype(np.int64)
+
+
+def _bin_cells(rows: np.ndarray, box: np.ndarray, cell: np.ndarray,
+               slot: np.ndarray | None) -> VoxelIndexMap:
+    """Count floored (3, N) ``rows``, all inside ``box``, per cell of it.
+
+    The cell index is summed in place in ``rows``, which it uses up;
+    ``cell`` and ``slot`` (None: no slots) are filled in place.
+    """
+    nx, ny, nz = (int(n) for n in box[1] - box[0] + 1)
+    # every term is an integer below 2**44, so the float arithmetic is exact
+    rows[0] *= ny * nz
+    rows[1] *= nz
+    rows[0] += rows[1]
+    rows[0] += rows[2]
+    lo = box[0]
+    np.subtract(rows[0], (lo[0] * ny + lo[1]) * nz + lo[2], out=cell,
+                casting="unsafe")
+    per_cell = np.bincount(cell, minlength=nx * ny * nz)
+    occupied = np.flatnonzero(per_cell)
+    counts = per_cell[occupied]
+    if slot is not None:
+        # reuse the one box-sized array as the cell -> slot table
+        per_cell[occupied] = np.arange(occupied.size)
+        np.take(per_cell, cell, out=slot, mode="clip")
+    return VoxelIndexMap(slot=slot, occupied=occupied, counts=counts,
+                         bounds=box)
+
+
 def _floored(cloud: PointCloud, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Floored grid coordinates as (3, N) floats, one contiguous row per
-    axis, and their (2, 3) integer bounds.  The range check reads only the
-    bounds; the first offending point is looked for only when it fails."""
-    scaled = np.empty((3, len(cloud)))
-    for axis in range(3):
-        np.subtract(cloud.points[:, axis], grid.origin[axis], out=scaled[axis])
-    scaled /= grid.resolution
-    np.floor(scaled, out=scaled)
-    lo, hi = scaled.min(axis=1), scaled.max(axis=1)
-    if (lo < INDEX_MIN).any() or (hi > INDEX_MAX).any():
-        ijk = scaled.T.astype(np.int64)
-        bad = (ijk < INDEX_MIN) | (ijk > INDEX_MAX)
-        idx = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise OutOfBoundsError(
-            f"point {idx} at {cloud.points[idx]} maps to voxel index "
-            f"{ijk[idx]} outside [{INDEX_MIN}, {INDEX_MAX}]"
-        )
-    return scaled, np.stack([lo, hi]).astype(np.int64)
+    axis, and their (2, 3) integer bounds."""
+    rows = np.array(cloud.points.T, order="C")  # always a copy
+    return rows, _floor_rows(rows, grid, lambda i: cloud.points[i])
 
 
 def voxel_indices(cloud: PointCloud, grid: GridSpec) -> np.ndarray:
@@ -197,22 +238,90 @@ def voxel_indices(cloud: PointCloud, grid: GridSpec) -> np.ndarray:
 
 def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
     """Assign every point of a non-empty cloud to a cell of its occupied box."""
-    if len(cloud) == 0:
+    n = len(cloud)
+    if n == 0:
         raise ValueError("cannot voxelize an empty cloud")
-    scaled, bounds = _floored(cloud, grid)
-    nx, ny, nz = box_shape(bounds)
-    # every term is an integer below 2**44, so the float products are exact
-    strides = np.array([ny * nz, nz, 1], dtype=np.float64)
-    cell = np.empty(len(cloud), dtype=np.int64)
-    np.subtract(strides @ scaled, strides @ bounds[0], out=cell,
-                casting="unsafe")
-    per_cell = np.bincount(cell, minlength=nx * ny * nz)
-    occupied = np.flatnonzero(per_cell)
-    counts = per_cell[occupied]
-    # reuse the one box-sized array as the cell -> slot table
-    per_cell[occupied] = np.arange(occupied.size)
-    return VoxelIndexMap(slot=per_cell[cell], occupied=occupied,
-                         counts=counts, bounds=bounds)
+    rows, bounds = _floored(cloud, grid)
+    box_shape(bounds)  # refuses a box past the dense-grid limit
+    return _bin_cells(rows, bounds, np.empty(n, dtype=np.intp),
+                      np.empty(n, dtype=np.intp))
+
+
+class GridScan:
+    """A scan laid out once for repeated moves and voxelizations on a grid.
+
+    ``points`` is the scan as a (3, N) view of its own (N, 3) array, not a
+    copy.  Every move and voxelization refills the same per-point buffers
+    ``rows``, ``cell``, ``z`` and ``slot`` (the last two for VARZ only), so
+    a scan serves one evaluation at a time.  ``bounds`` is the moved scan's
+    (2, 3) index box.
+    """
+
+    def __init__(self, cloud: PointCloud, grid: GridSpec, kind: FeatureKind):
+        n = len(cloud)
+        if n == 0:
+            raise ValueError("cannot voxelize an empty cloud")
+        self.points = cloud.points.T
+        self.grid, self.kind = grid, kind
+        self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
+        self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
+                             if kind is FeatureKind.VARZ else (None, None))
+
+    def __len__(self) -> int:
+        return self.points.shape[1]
+
+    def apply_transform(self, t: np.ndarray) -> None:
+        """Move the scan by the rigid transform ``t`` (not validated) and
+        floor it onto the grid: ``R @ p``, ``+ t``, ``- origin``,
+        ``/ resolution``."""
+        rows, r = self.rows, t[:3, :3]
+        # a GEMM on the transposed view, bit for bit the product that
+        # ``geometry.apply_transform`` makes, with no copy of the scan
+        np.matmul(r, self.points, out=rows)
+        for axis in range(3):
+            rows[axis] += t[axis, 3]
+        if self.z is not None:
+            self.z[:] = rows[2]
+        self.bounds = _floor_rows(
+            rows, self.grid, lambda i: r @ self.points[:, i] + t[:3, 3])
+
+    def voxelize(self, region: OverlapRegion) -> VoxelIndexMap:
+        """Bin the moved scan over the cell box ``region`` and a guard shell
+        one cell wide around it, on the sides the scan passes it.
+
+        Points outside the region are clamped into the shell, so a region
+        voxel holds the same points, in the same order, as in the scan's
+        own box; a histogram over the region never reads the shell.
+        """
+        shell = np.stack([self.bounds[0] < region.mins,
+                          self.bounds[1] > region.maxs])
+        box = np.stack([region.mins - shell[0], region.maxs + shell[1]])
+        for axis in np.flatnonzero(shell.any(axis=0)):
+            np.clip(self.rows[axis], box[0, axis], box[1, axis],
+                    out=self.rows[axis])
+        return _bin_cells(self.rows, box, self.cell, self.slot)
+
+    def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
+        """Features of the voxels of the last :meth:`voxelize`; its spent
+        ``rows[0]`` holds the deviations."""
+        return _features(voxel_map, self.z, self.kind, self.rows[0])
+
+
+def _features(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,
+              dev: np.ndarray) -> FeatureMap:
+    counts = voxel_map.counts
+    if kind is FeatureKind.COUNT:
+        values = counts.astype(np.float64)
+    else:
+        slot = voxel_map.slot
+        means = np.bincount(slot, weights=z, minlength=counts.size) / counts
+        np.take(means, slot, out=dev, mode="clip")
+        np.subtract(z, dev, out=dev)
+        np.square(dev, out=dev)
+        values = np.bincount(slot, weights=dev, minlength=counts.size)
+        values /= counts
+    return FeatureMap(kind=kind, cells=voxel_map.occupied, values=values,
+                      bounds=voxel_map.bounds)
 
 
 def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
@@ -228,20 +337,8 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
         raise ValueError(
             f"voxel map covers {voxel_map.slot.size} points, cloud has {len(cloud)}"
         )
-    counts = voxel_map.counts
-    if kind is FeatureKind.COUNT:
-        values = counts.astype(np.float64)
-    else:
-        slot = voxel_map.slot
-        z = cloud.points[:, 2]
-        means = np.bincount(slot, weights=z, minlength=counts.size) / counts
-        sq_dev = means[slot]
-        np.subtract(z, sq_dev, out=sq_dev)
-        np.square(sq_dev, out=sq_dev)
-        values = np.bincount(slot, weights=sq_dev, minlength=counts.size)
-        values /= counts
-    return FeatureMap(kind=kind, cells=voxel_map.occupied, values=values,
-                      bounds=voxel_map.bounds)
+    return _features(voxel_map, cloud.points[:, 2], kind,
+                     np.empty(len(cloud)))
 
 
 def compute_overlap(bounds_a: np.ndarray, bounds_b: np.ndarray) -> OverlapRegion:
@@ -266,12 +363,3 @@ def overlap_voxel_count(region: OverlapRegion) -> int:
         * (region.z_max - region.z_min + 1)
     )
 
-
-def dump_feature_csv(feat: FeatureMap, path) -> None:
-    """Debug dump: one "ix,iy,iz,feature" row per occupied voxel."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ix", "iy", "iz", "feature"])
-        for ijk, value in zip(feat.voxels(), feat.values):
-            writer.writerow([int(ijk[0]), int(ijk[1]), int(ijk[2]),
-                             repr(float(value))])

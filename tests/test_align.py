@@ -157,6 +157,16 @@ class TestNoOverlap:
         with pytest.raises(NoOverlapError):
             align(near, far, np.eye(4), cfg)
 
+    def test_error_names_why_the_initial_pose_scored_nothing(self):
+        """Phi off, boxes overlapping, no voxel occupied in both scans."""
+        a = PointCloud(np.array([[0.5, 0.5, 0.5], [2.5, 0.5, 0.5]]))
+        b = PointCloud(np.array([[1.5, 0.5, 0.5]]))
+        with pytest.raises(NoOverlapError, match="occupied in both scans"):
+            align(a, b, np.eye(4), AlignmentConfig(phi_enabled=False))
+        far = PointCloud(np.array([[500.5, 0.5, 0.5]]))
+        with pytest.raises(NoOverlapError, match="do not overlap"):
+            align(a, far, np.eye(4), AlignmentConfig(phi_enabled=False))
+
     def test_empty_scan_rejected(self, scene):
         scan_a, _ = scene
         with pytest.raises(ValueError):

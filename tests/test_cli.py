@@ -112,6 +112,17 @@ class TestAlign:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_phi_off_without_co_occupied_voxels_names_the_reason(
+            self, tmp_path, capsys):
+        a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        save_scan(PointCloud(np.array([[0.5, 0.5, 0.5], [2.5, 0.5, 0.5]])), a)
+        save_scan(PointCloud(np.array([[1.5, 0.5, 0.5]])), b)
+        code = main(["align", str(a), str(b), "--phi", "off"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "occupied in both scans" in err
+        assert "overlapping occupied bounds" not in err
+
 
 class TestSweep:
     def test_yaw_sweep_peaks_at_the_true_yaw(self, scans, tmp_path, capsys):
@@ -150,6 +161,18 @@ class TestSweep:
         assert len(lines) == 3
         assert float(lines[2].split(",")[0]) == 0.5
         capsys.readouterr()
+
+    def test_no_overlapping_pose_exits_two_without_a_csv(self, scans,
+                                                         tmp_path, capsys):
+        out_csv = tmp_path / "none.csv"
+        code = main(["sweep", scans["a"], scans["far"], "--axis", "tx",
+                     "--range", "-1", "1", "--steps", "3",
+                     "--out", str(out_csv)])
+        assert code == 2
+        assert not out_csv.exists()
+        out, err = capsys.readouterr()
+        assert "max MI" not in out
+        assert "usable overlap" in err
 
     def test_missing_axis_is_a_usage_error(self, scans, capsys):
         code = main(["sweep", scans["a"], scans["a"],
