@@ -22,18 +22,15 @@ from .geometry import EulerPose, PointCloud, euler_to_transform, validate_transf
 from .voxel import (
     FeatureKind,
     FeatureMap,
-    GridScan,
     GridSpec,
     OverlapRegion,
+    VoxelIndexMap,
+    _bin_cells,
+    _features,
+    _floor_rows,
     box_shape,
     compute_overlap,
 )
-
-# The stages of one evaluation on a prepared scan.  Each is a module global
-# called once per evaluation, so that a tracer can time a stage by name.
-apply_transform = GridScan.apply_transform
-voxelize = GridScan.voxelize
-compute_feature_map = GridScan.compute_feature_map
 
 # Worst-possible objective value: returned for candidate poses with no
 # overlap so the optimizer retreats instead of aborting mid-run.
@@ -124,7 +121,9 @@ def _region_bins(feat: FeatureMap, region: OverlapRegion, shape,
     """
     raster = feat.binned.get(spec)
     if raster is None:
-        raster = np.zeros(box_shape(feat.bounds),
+        # voxelize checks a scan's box against the dense-grid limit, and
+        # PreparedScan scan A's box, which bounds an evaluation's boxes
+        raster = np.zeros(feat.bounds[1] - feat.bounds[0] + 1,
                           dtype=np.min_scalar_type(spec.bin_count))
         raster.reshape(-1)[feat.cells] = bin_features(feat.values, spec)
         feat.binned[spec] = raster
@@ -201,22 +200,67 @@ def mutual_information(hist: JointHistogram,
     return MIResult(mi=mi, h_x=h_x, h_y=h_y, h_xy=h_xy)
 
 
-class PreparedScan(GridScan):
-    """Scan B laid out once for evaluations against scan A's features.
+class PreparedScan:
+    """Scan B laid out once for evaluations against scan A's feature map.
 
-    A :class:`voxmi.voxel.GridScan` of B that also holds scan A's feature
-    map and the binning.  Every dense array of an evaluation lies in A's box
-    widened by one cell, so only that box is checked against the dense-grid
-    limit, here.  Concurrent evaluations each need their own prepared scan.
+    ``points`` is B as a (3, N) view of its own (N, 3) array, not a copy.
+    Every evaluation refills the same per-point buffers ``rows``, ``cell``,
+    ``z`` and ``slot`` (the last two for VARZ only), so concurrent
+    evaluations each need their own prepared scan.  An evaluation bins B
+    over the overlap region, which lies in A's box, plus a guard shell of
+    at most one cell per side; only A's box is checked against the
+    dense-grid limit, so no pose of B can raise BoxTooLargeError.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
                  grid: GridSpec, spec: BinningSpec):
         if feat_a.kind is not spec.kind:
             raise ValueError("feature map and binning spec must share one kind")
-        box_shape(feat_a.bounds + [[-1], [1]])  # the only box-limit check
-        super().__init__(cloud_b, grid, spec.kind)
-        self.feat_a, self.spec = feat_a, spec
+        n = len(cloud_b)
+        if n == 0:
+            raise ValueError("cannot voxelize an empty cloud")
+        box_shape(feat_a.bounds)
+        self.feat_a, self.grid, self.spec = feat_a, grid, spec
+        self.points = cloud_b.points.T
+        self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
+        self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
+                             if spec.kind is FeatureKind.VARZ else (None, None))
+
+    def __len__(self) -> int:
+        return self.points.shape[1]
+
+    def apply_transform(self, t: np.ndarray) -> None:
+        """Move B by the rigid transform ``t`` (not validated) and floor it
+        onto the grid: ``R @ p``, ``+ t``, ``- origin``, ``/ resolution``;
+        ``bounds`` becomes moved B's (2, 3) index box."""
+        rows, r = self.rows, t[:3, :3]
+        # a GEMM on the transposed view, bit for bit the product that
+        # ``geometry.apply_transform`` makes, with no copy of the scan
+        np.matmul(r, self.points, out=rows)
+        for axis in range(3):
+            rows[axis] += t[axis, 3]
+        if self.z is not None:
+            self.z[:] = rows[2]
+        self.bounds = _floor_rows(
+            rows, self.grid, lambda i: r @ self.points[:, i] + t[:3, 3])
+
+    def voxelize(self, region: OverlapRegion) -> VoxelIndexMap:
+        """Bin moved B over ``region`` and a guard shell one cell wide on
+        the sides B passes it.  Points outside the region are clamped into
+        the shell, which no histogram reads, so a region voxel holds the
+        same points, in the same order, as in B's own box."""
+        shell = np.stack([self.bounds[0] < region.mins,
+                          self.bounds[1] > region.maxs])
+        box = np.stack([region.mins - shell[0], region.maxs + shell[1]])
+        for axis in np.flatnonzero(shell.any(axis=0)):
+            np.clip(self.rows[axis], box[0, axis], box[1, axis],
+                    out=self.rows[axis])
+        return _bin_cells(self.rows, box, self.cell, self.slot)
+
+    def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
+        """Features of the voxels of the last :meth:`voxelize`; its spent
+        ``rows[0]`` holds the deviations."""
+        return _features(voxel_map, self.z, self.spec.kind, self.rows[0])
 
     def histogram(self, transform: np.ndarray) -> JointHistogram:
         """Joint histogram at the rigid ``transform`` (not validated).
@@ -230,6 +274,13 @@ class PreparedScan(GridScan):
         return build_joint_histogram(self.feat_a, feat_b, region, self.spec)
 
 
+# The stages of one evaluation, PreparedScan's methods.  Each is a module
+# global called once per evaluation, so that a tracer can time it by name.
+apply_transform = PreparedScan.apply_transform
+voxelize = PreparedScan.voxelize
+compute_feature_map = PreparedScan.compute_feature_map
+
+
 def joint_histogram_at(feat_a: FeatureMap, cloud_b: PointCloud,
                        transform: np.ndarray, grid: GridSpec,
                        spec: BinningSpec) -> JointHistogram:
@@ -237,8 +288,8 @@ def joint_histogram_at(feat_a: FeatureMap, cloud_b: PointCloud,
 
     One evaluation on a one-shot :class:`PreparedScan`.  Raises
     OutOfBoundsError when moved points leave the grid's index range,
-    BoxTooLargeError when A's box is too large, and EmptyOverlapError when
-    the occupied boxes miss.
+    BoxTooLargeError when A's own box is too large, and EmptyOverlapError
+    when the occupied boxes miss.
     """
     prepared = PreparedScan(feat_a, cloud_b, grid, spec)
     return prepared.histogram(validate_transform(transform))
@@ -251,18 +302,23 @@ def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud | PreparedScan,
 
     Scan A's feature map is precomputed once per run and passed in.
     ``cloud_b`` is scan B, or a :class:`PreparedScan` made from ``feat_a``,
-    ``grid`` and ``spec``, which callers scoring many poses pass to reuse
-    its buffers.  Returns the worst-possible sentinel, so the optimizer
-    retreats, for candidate poses that push points off the representable
-    grid (OutOfBoundsError) or leave no usable overlap (EmptyOverlapError:
-    the occupied boxes miss, or phi is off and no voxel is occupied in both
-    scans).  Any other error, such as a kind mismatch or an empty scan B,
-    propagates.
+    ``grid`` and ``spec`` (ValueError otherwise), which callers scoring
+    many poses pass to reuse its buffers.  Returns the worst-possible
+    sentinel, so the optimizer retreats, for candidate poses that push
+    points off the representable grid (OutOfBoundsError) or leave no usable
+    overlap (EmptyOverlapError: the occupied boxes miss, or phi is off and
+    no voxel is occupied in both scans).  Any other error, such as a kind
+    mismatch or an empty scan B, propagates.
     """
-    prepared = cloud_b if isinstance(cloud_b, PreparedScan) else \
-        PreparedScan(feat_a, cloud_b, grid, spec)
+    if not isinstance(cloud_b, PreparedScan):
+        cloud_b = PreparedScan(feat_a, cloud_b, grid, spec)
+    elif (cloud_b.feat_a is not feat_a or cloud_b.spec != spec
+          or cloud_b.grid.resolution != grid.resolution
+          or (cloud_b.grid.origin != grid.origin).any()):
+        raise ValueError("the prepared scan was made from another feature "
+                         "map, grid or binning")
     try:
-        hist = prepared.histogram(euler_to_transform(pose))
+        hist = cloud_b.histogram(euler_to_transform(pose))
         return mutual_information(hist, include_phi=include_phi).mi
     except (OutOfBoundsError, EmptyOverlapError):
         return NO_OVERLAP_SENTINEL

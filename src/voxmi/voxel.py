@@ -4,9 +4,9 @@ A scan is dropped onto a shared cubic grid; each occupied voxel gets one
 scalar feature (z-height variance or point count).  A point's voxel is a
 linear (C-order, x-major) cell index inside a box of cells: the scan's
 occupied box, the tight integer box around its voxels, or for a scan being
-scored (:class:`GridScan`) its overlap with the other scan.  One
-``np.bincount`` over the box finds the occupied cells; per-voxel sums are
-then ``np.bincount`` over each point's slot among those cells, in point
+scored (:class:`voxmi.mi.PreparedScan`) its overlap with the other scan.
+One ``np.bincount`` over the box finds the occupied cells; per-voxel sums
+are then ``np.bincount`` over each point's slot among those cells, in point
 order.  A cell with no points carries the no-feature value.  A box of more
 than ``MAX_BOX_CELLS`` cells is refused with BoxTooLargeError before any
 dense array is allocated.
@@ -81,7 +81,7 @@ class VoxelIndexMap:
     """Points of one cloud assigned to the occupied cells of a box.
 
     ``bounds`` is the integer box, shaped (2, 3) as [mins; maxs]: the tight
-    box over occupied voxel indices, or for :meth:`GridScan.voxelize` a
+    box over occupied voxel indices, or for a scan being scored an overlap
     region with its guard shell.  ``occupied`` holds the ascending linear
     (C-order) indices of the cells with at least one point, ``counts``
     their point counts and ``slot`` each point's position in ``occupied``
@@ -172,11 +172,8 @@ def _floor_rows(rows: np.ndarray, grid: GridSpec, point) -> np.ndarray:
     OutOfBoundsError naming the first point, ``point(i)`` in metres, whose
     index leaves [INDEX_MIN, INDEX_MAX]; only the bounds are checked unless
     one does."""
-    # subtracting 0 and dividing by 1 change no bit, so are skipped
-    for axis in np.flatnonzero(grid.origin):
-        rows[axis] -= grid.origin[axis]
-    if grid.resolution != 1.0:
-        rows /= grid.resolution
+    rows -= grid.origin[:, None]
+    rows /= grid.resolution
     np.floor(rows, out=rows)
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     if (lo < INDEX_MIN).any() or (hi > INDEX_MAX).any():
@@ -245,66 +242,6 @@ def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
     box_shape(bounds)  # refuses a box past the dense-grid limit
     return _bin_cells(rows, bounds, np.empty(n, dtype=np.intp),
                       np.empty(n, dtype=np.intp))
-
-
-class GridScan:
-    """A scan laid out once for repeated moves and voxelizations on a grid.
-
-    ``points`` is the scan as a (3, N) view of its own (N, 3) array, not a
-    copy.  Every move and voxelization refills the same per-point buffers
-    ``rows``, ``cell``, ``z`` and ``slot`` (the last two for VARZ only), so
-    a scan serves one evaluation at a time.  ``bounds`` is the moved scan's
-    (2, 3) index box.
-    """
-
-    def __init__(self, cloud: PointCloud, grid: GridSpec, kind: FeatureKind):
-        n = len(cloud)
-        if n == 0:
-            raise ValueError("cannot voxelize an empty cloud")
-        self.points = cloud.points.T
-        self.grid, self.kind = grid, kind
-        self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
-        self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
-                             if kind is FeatureKind.VARZ else (None, None))
-
-    def __len__(self) -> int:
-        return self.points.shape[1]
-
-    def apply_transform(self, t: np.ndarray) -> None:
-        """Move the scan by the rigid transform ``t`` (not validated) and
-        floor it onto the grid: ``R @ p``, ``+ t``, ``- origin``,
-        ``/ resolution``."""
-        rows, r = self.rows, t[:3, :3]
-        # a GEMM on the transposed view, bit for bit the product that
-        # ``geometry.apply_transform`` makes, with no copy of the scan
-        np.matmul(r, self.points, out=rows)
-        for axis in range(3):
-            rows[axis] += t[axis, 3]
-        if self.z is not None:
-            self.z[:] = rows[2]
-        self.bounds = _floor_rows(
-            rows, self.grid, lambda i: r @ self.points[:, i] + t[:3, 3])
-
-    def voxelize(self, region: OverlapRegion) -> VoxelIndexMap:
-        """Bin the moved scan over the cell box ``region`` and a guard shell
-        one cell wide around it, on the sides the scan passes it.
-
-        Points outside the region are clamped into the shell, so a region
-        voxel holds the same points, in the same order, as in the scan's
-        own box; a histogram over the region never reads the shell.
-        """
-        shell = np.stack([self.bounds[0] < region.mins,
-                          self.bounds[1] > region.maxs])
-        box = np.stack([region.mins - shell[0], region.maxs + shell[1]])
-        for axis in np.flatnonzero(shell.any(axis=0)):
-            np.clip(self.rows[axis], box[0, axis], box[1, axis],
-                    out=self.rows[axis])
-        return _bin_cells(self.rows, box, self.cell, self.slot)
-
-    def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
-        """Features of the voxels of the last :meth:`voxelize`; its spent
-        ``rows[0]`` holds the deviations."""
-        return _features(voxel_map, self.z, self.kind, self.rows[0])
 
 
 def _features(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,

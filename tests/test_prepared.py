@@ -3,9 +3,10 @@
 ``align``, ``sweep_axis`` and ``mi_at`` score every pose on one
 ``PreparedScan`` whose buffers each evaluation reuses.  These tests pin what
 that promises: the histogram of binning B's whole moved box at every pose,
-in any order; no dense array beyond scan A's box, so no pose can end a run
-with BoxTooLargeError; no per-point allocation per evaluation; and buffers
-that belong to one call.
+in any order; the box limit held on scan A's own box only, so no pose can
+end a run with BoxTooLargeError; a prepared scan refused for other
+settings; no per-point allocation per evaluation; and buffers that belong
+to one call.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxmi.voxel
 from voxmi import (
     NO_OVERLAP_SENTINEL,
     AlignmentConfig,
+    BinningSpec,
     BoxTooLargeError,
     EmptyOverlapError,
     EulerPose,
@@ -132,6 +135,43 @@ def test_tilted_box_past_the_limit_still_scores():
     assert all(mi == NO_OVERLAP_SENTINEL or math.isfinite(mi)
                for _, mi in curve)
     assert curve[3][1] > NO_OVERLAP_SENTINEL
+
+
+def test_scan_a_at_the_limit_still_scores(monkeypatch):
+    """A's box is exactly at the limit and B passes it on every side, so
+    every evaluation bins the 6 x 6 x 6 box of A's and the guard shell."""
+    monkeypatch.setattr(voxmi.voxel, "MAX_BOX_CELLS", 64)
+    rng = np.random.default_rng(5)
+    corners = np.array([(x, y, z) for x in (0.5, 3.5) for y in (0.5, 3.5)
+                        for z in (0.5, 3.5)])
+    scan_a = PointCloud(np.vstack([corners, rng.uniform(0, 4, (300, 3))]))
+    outside = np.array([(-1.5, 2, 2), (5.5, 2, 2), (2, -1.5, 2),
+                        (2, 5.5, 2), (2, 2, -1.5), (2, 2, 5.5)])
+    scan_b = PointCloud(np.vstack([scan_a.points, outside]))
+    cfg = AlignmentConfig(simplex=SimplexConfig(max_iterations=20))
+    assert np.all(np.diff(voxelize(scan_a, cfg.grid).bounds, axis=0) == 3)
+    with pytest.raises(BoxTooLargeError):
+        voxelize(scan_b, cfg.grid)
+    assert mi_at(scan_a, scan_b, EulerPose(), cfg).mi > 0.0
+    report = align(scan_a, scan_b, np.eye(4), cfg)
+    assert math.isfinite(report.final_mi) and report.final_mi > 0.0
+
+
+def test_prepared_scan_of_other_settings_is_refused():
+    scan_a, scan_b = spread_pair()
+    cfg = AlignmentConfig()
+    prepared = align_mod._prepare(scan_a, scan_b, cfg)
+    feat_a = prepared.feat_a
+    assert mi_objective(feat_a, prepared, EulerPose(), GridSpec(),
+                        BinningSpec(kind=cfg.feature)) > NO_OVERLAP_SENTINEL
+    other_feat = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,
+                                     cfg.feature)
+    for args in [(other_feat, cfg.grid, cfg.binning),
+                 (feat_a, GridSpec(resolution=0.5), cfg.binning),
+                 (feat_a, GridSpec(origin=(0, 0, 0.5)), cfg.binning),
+                 (feat_a, cfg.grid, BinningSpec(cfg.feature, bin_count=16))]:
+        with pytest.raises(ValueError, match="prepared scan"):
+            mi_objective(args[0], prepared, EulerPose(), *args[1:])
 
 
 NEAR = st.floats(-20.0, 20.0)
