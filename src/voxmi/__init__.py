@@ -1,6 +1,8 @@
 """Rigid 3D scan alignment by maximizing mutual information between
 voxelized scalar features (z-height variance or point count)."""
 
+import numpy as _np
+
 from .align import (
     SWEEP_AXES,
     AlignmentConfig,
@@ -41,7 +43,6 @@ from .geometry import (
     apply_transform,
     compose,
     euler_to_transform,
-    identity_transform,
     inverse,
     transform_to_euler,
     validate_transform,
@@ -87,7 +88,6 @@ from .voxel import (
     FeatureKind,
     FeatureMap,
     GridSpec,
-    OverlapRegion,
     VoxelIndexMap,
     compute_feature_map,
     compute_overlap,
@@ -98,19 +98,30 @@ from .voxel import (
 
 __version__ = "0.1.0"
 
+
+def OverlapRegion(x_min, x_max, y_min, y_max, z_min, z_max):  # noqa: N802
+    """The (2, 3) int64 [mins; maxs] index box of these inclusive ranges.
+
+    The former spelling of a box, kept importable but outside ``__all__``
+    so that code written against it still runs.
+    """
+    return _np.array([[x_min, y_min, z_min], [x_max, y_max, z_max]],
+                     dtype=_np.int64)
+
+
 __all__ = [
     "AlignmentConfig", "AlignmentReport", "BinningSpec", "BoxTooLargeError",
     "DegenerateOrientationError", "DEFAULT_INITIAL_STEPS", "EmptyOverlapError",
     "EulerPose", "FeatureKind", "FeatureMap", "FormatError", "GridSpec",
     "JointHistogram", "MIResult", "NO_OVERLAP_SENTINEL", "NoOverlapError",
-    "OptimResult", "OutOfBoundsError", "OverlapRegion", "PerturbationSpec",
+    "OptimResult", "OutOfBoundsError", "PerturbationSpec",
     "PointCloud", "PoseTrack", "RotationError", "RuntimeInvariance",
     "SceneSpec", "SimplexConfig", "SWEEP_AXES", "TRIAL_CSV_HEADER",
     "TrialRecord", "VoxelIndexMap",
     "VoxmiError", "align", "apply_transform", "bin_feature", "bin_features",
     "build_joint_histogram", "compose", "compute_feature_map",
     "compute_overlap", "dump_histogram_csv", "entropy", "euler_to_transform",
-    "identity_transform", "inverse", "joint_histogram_at",
+    "inverse", "joint_histogram_at",
     "load_kitti_bin",
     "load_kitti_poses", "load_ply_ascii", "load_scan", "load_transform",
     "load_xyz_text",

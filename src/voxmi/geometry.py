@@ -102,10 +102,6 @@ class EulerPose:
                          _wrap_angle(self.rz))
 
 
-def identity_transform() -> np.ndarray:
-    return np.eye(4)
-
-
 def validate_transform(t: np.ndarray) -> np.ndarray:
     """Check rigid-transform invariants; returns the input as float64."""
     t = np.asarray(t, dtype=np.float64)

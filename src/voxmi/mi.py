@@ -23,7 +23,6 @@ from .voxel import (
     FeatureKind,
     FeatureMap,
     GridSpec,
-    OverlapRegion,
     VoxelIndexMap,
     _bin_cells,
     _features,
@@ -69,7 +68,8 @@ def bin_feature(value: float | None, spec: BinningSpec) -> int:
     if not np.isfinite(value) or value < 0:
         raise ValueError(f"feature value must be finite and >= 0, got {value}")
     b = spec.bin_count
-    return 1 + min(b - 1, int(value / spec.upper_clamp * b))
+    # clamped as a float: a huge value scales to inf, which int() refuses
+    return 1 + int(min(b - 1, value / spec.upper_clamp * b))
 
 
 def bin_features(values: np.ndarray, spec: BinningSpec) -> np.ndarray:
@@ -78,8 +78,9 @@ def bin_features(values: np.ndarray, spec: BinningSpec) -> np.ndarray:
     if values.size and (not np.isfinite(values).all() or (values < 0).any()):
         raise ValueError("feature values must be finite and >= 0")
     b = spec.bin_count
-    raw = np.floor(values / spec.upper_clamp * b).astype(np.int64)
-    return 1 + np.minimum(b - 1, raw)
+    with np.errstate(over="ignore"):  # a huge value scales to inf: top bin
+        scaled = values / spec.upper_clamp * b
+    return 1 + np.minimum(scaled, b - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,6 @@ class JointHistogram:
     total: int
     spec: BinningSpec
 
-    def row_marginal(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def col_marginal(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class MIResult:
@@ -111,7 +106,7 @@ class MIResult:
     h_xy: float
 
 
-def _region_bins(feat: FeatureMap, region: OverlapRegion, shape,
+def _region_bins(feat: FeatureMap, region: np.ndarray, shape,
                  spec: BinningSpec) -> np.ndarray:
     """Bins of ``feat`` on every cell of the region; 0 outside its box.
 
@@ -127,22 +122,23 @@ def _region_bins(feat: FeatureMap, region: OverlapRegion, shape,
                           dtype=np.min_scalar_type(spec.bin_count))
         raster.reshape(-1)[feat.cells] = bin_features(feat.values, spec)
         feat.binned[spec] = raster
-    lo = np.maximum(region.mins, feat.bounds[0])
-    hi = np.maximum(np.minimum(region.maxs, feat.bounds[1]) + 1, lo)
+    lo = np.maximum(region[0], feat.bounds[0])
+    hi = np.maximum(np.minimum(region[1], feat.bounds[1]) + 1, lo)
     inner = raster[tuple(slice(a - m, b - m)
                          for a, b, m in zip(lo, hi, feat.bounds[0]))]
     if inner.shape == shape:
         return inner
     out = np.zeros(shape, dtype=raster.dtype)
-    out[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, region.mins))] = \
+    out[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, region[0]))] = \
         inner
     return out
 
 
 def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
-                          region: OverlapRegion,
+                          region: np.ndarray,
                           spec: BinningSpec) -> JointHistogram:
-    """Count co-located feature-bin pairs over every voxel of the region.
+    """Count co-located feature-bin pairs over every voxel of the region,
+    a (2, 3) [mins; maxs] index box.
 
     Voxels occupied in one scan only pair with bin 0 on the other axis, and
     voxels occupied in neither land in cell (0, 0).  Region cells outside a
@@ -150,9 +146,10 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
     """
     if feat_a.kind is not spec.kind or feat_b.kind is not spec.kind:
         raise ValueError("feature maps and binning spec must share one kind")
-    if region.is_empty:
+    region = np.asarray(region, dtype=np.int64)
+    if (region[0] > region[1]).any():
         raise EmptyOverlapError("overlap region is empty")
-    shape = box_shape(np.stack([region.mins, region.maxs]))
+    shape = box_shape(region)
     width = spec.bin_count + 1
     pairs = np.multiply(_region_bins(feat_a, region, shape, spec), width,
                         dtype=np.intp)
@@ -231,7 +228,7 @@ class PreparedScan:
 
     def apply_transform(self, t: np.ndarray) -> None:
         """Move B by the rigid transform ``t`` (not validated) and floor it
-        onto the grid: ``R @ p``, ``+ t``, ``- origin``, ``/ resolution``;
+        onto the grid: ``R @ p``, ``+ t``, ``/ resolution``;
         ``bounds`` becomes moved B's (2, 3) index box."""
         rows, r = self.rows, t[:3, :3]
         # a GEMM on the transposed view, bit for bit the product that
@@ -244,14 +241,15 @@ class PreparedScan:
         self.bounds = _floor_rows(
             rows, self.grid, lambda i: r @ self.points[:, i] + t[:3, 3])
 
-    def voxelize(self, region: OverlapRegion) -> VoxelIndexMap:
-        """Bin moved B over ``region`` and a guard shell one cell wide on
-        the sides B passes it.  Points outside the region are clamped into
-        the shell, which no histogram reads, so a region voxel holds the
-        same points, in the same order, as in B's own box."""
-        shell = np.stack([self.bounds[0] < region.mins,
-                          self.bounds[1] > region.maxs])
-        box = np.stack([region.mins - shell[0], region.maxs + shell[1]])
+    def voxelize(self, region: np.ndarray) -> VoxelIndexMap:
+        """Bin moved B over the (2, 3) index box ``region`` and a guard
+        shell one cell wide on the sides B passes it.  Points outside the
+        region are clamped into the shell, which no histogram reads, so a
+        region voxel holds the same points, in the same order, as in B's
+        own box."""
+        shell = np.stack([self.bounds[0] < region[0],
+                          self.bounds[1] > region[1]])
+        box = np.stack([region[0] - shell[0], region[1] + shell[1]])
         for axis in np.flatnonzero(shell.any(axis=0)):
             np.clip(self.rows[axis], box[0, axis], box[1, axis],
                     out=self.rows[axis])
@@ -268,7 +266,7 @@ class PreparedScan:
         range and EmptyOverlapError when the boxes miss."""
         apply_transform(self, transform)
         region = compute_overlap(self.feat_a.bounds, self.bounds)
-        if region.is_empty:
+        if (region[0] > region[1]).any():
             raise EmptyOverlapError("scans do not overlap at this pose")
         feat_b = compute_feature_map(self, voxelize(self, region))
         return build_joint_histogram(self.feat_a, feat_b, region, self.spec)
@@ -313,8 +311,7 @@ def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud | PreparedScan,
     if not isinstance(cloud_b, PreparedScan):
         cloud_b = PreparedScan(feat_a, cloud_b, grid, spec)
     elif (cloud_b.feat_a is not feat_a or cloud_b.spec != spec
-          or cloud_b.grid.resolution != grid.resolution
-          or (cloud_b.grid.origin != grid.origin).any()):
+          or cloud_b.grid != grid):
         raise ValueError("the prepared scan was made from another feature "
                          "map, grid or binning")
     try:

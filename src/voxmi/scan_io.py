@@ -88,20 +88,20 @@ def save_kitti_bin(cloud: PointCloud, path) -> None:
 
 
 def load_xyz_text(path) -> PointCloud:
-    """Read whitespace-separated ``x y z [intensity]`` rows."""
+    """Read whitespace-separated ``x y z [intensity]`` rows, all of one
+    width."""
     path = Path(path)
-    points: list[list[float]] = []
-    intensities: list[float] = []
+    rows: list[list[float]] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
+            fields = line.split("#", 1)[0].split()
+            if not fields:
                 continue
-            fields = body.split()
-            if len(fields) not in (3, 4):
+            widths = (len(rows[0]),) if rows else (3, 4)
+            if len(fields) not in widths:
                 raise FormatError(
-                    path, f"expected 3 or 4 fields, got {len(fields)}",
-                    line=lineno)
+                    path, f"expected {' or '.join(map(str, widths))} fields, "
+                    f"got {len(fields)}", line=lineno)
             try:
                 values = [float(f) for f in fields]
             except ValueError:
@@ -109,14 +109,11 @@ def load_xyz_text(path) -> PointCloud:
                                   line=lineno) from None
             if not all(np.isfinite(values)):
                 raise FormatError(path, "non-finite value", line=lineno)
-            points.append(values[:3])
-            if len(values) == 4:
-                intensities.append(values[3])
-    if intensities and len(intensities) != len(points):
-        raise FormatError(path, "intensity column present on some rows only")
-    pts = np.array(points, dtype=np.float64).reshape(-1, 3)
-    inten = np.array(intensities) if intensities else None
-    return PointCloud(pts, intensity=inten)
+            rows.append(values)
+    width = len(rows[0]) if rows else 3
+    data = np.array(rows, dtype=np.float64).reshape(-1, width)
+    return PointCloud(data[:, :3].copy(),
+                      intensity=data[:, 3].copy() if width == 4 else None)
 
 
 def save_xyz_text(cloud: PointCloud, path) -> None:
@@ -143,7 +140,7 @@ def _parse_ply_header(lines: list[str], path):
         if not fields or fields[0] == "comment":
             continue
         if fields[0] == "element":
-            if len(fields) != 3:
+            if len(fields) != 3 or not fields[2].isdecimal():
                 raise FormatError(path, f"malformed element: {line.strip()!r}",
                                   line=lineno)
             in_vertex_element = fields[1] == "vertex"
@@ -193,6 +190,8 @@ def load_ply_ascii(path) -> PointCloud:
         except ValueError:
             raise FormatError(path, f"non-numeric field in {fields!r}",
                               line=lineno) from None
+        if not np.isfinite(rows[i]).all():
+            raise FormatError(path, "non-finite value", line=lineno)
     cols = {name: rows[:, i] for i, name in enumerate(properties)}
     pts = np.column_stack([cols["x"], cols["y"], cols["z"]])
     return PointCloud(pts, intensity=cols.get("intensity"))

@@ -1,10 +1,12 @@
 """Voxelization, per-voxel scalar features, and overlap-region arithmetic.
 
-A scan is dropped onto a shared cubic grid; each occupied voxel gets one
-scalar feature (z-height variance or point count).  A point's voxel is a
-linear (C-order, x-major) cell index inside a box of cells: the scan's
-occupied box, the tight integer box around its voxels, or for a scan being
-scored (:class:`voxmi.mi.PreparedScan`) its overlap with the other scan.
+A scan is dropped onto a shared cubic grid anchored at the frame origin;
+each occupied voxel gets one scalar feature (z-height variance or point
+count).  An index box is always a (2, 3) int64 [mins; maxs] array of
+inclusive voxel index ranges.  A point's voxel is a linear (C-order,
+x-major) cell index inside a box of cells: the scan's occupied box, the
+tight integer box around its voxels, or for a scan being scored
+(:class:`voxmi.mi.PreparedScan`) its overlap with the other scan.
 One ``np.bincount`` over the box finds the occupied cells; per-voxel sums
 are then ``np.bincount`` over each point's slot among those cells, in point
 order.  A cell with no points carries the no-feature value.  A box of more
@@ -15,6 +17,7 @@ dense array is allocated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,16 +50,11 @@ class FeatureKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cubic voxel grid: anchor point in meters and edge length per voxel."""
+    """Cubic voxel grid anchored at the frame origin: edge length in metres."""
 
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     resolution: float = 1.0
 
     def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=np.float64)
-        if origin.shape != (3,) or not np.isfinite(origin).all():
-            raise ValueError(f"grid origin must be 3 finite floats, got {self.origin}")
-        object.__setattr__(self, "origin", origin)
         if not (np.isfinite(self.resolution) and self.resolution > 0):
             raise ValueError(f"grid resolution must be > 0, got {self.resolution}")
 
@@ -141,38 +139,11 @@ class FeatureMap:
                 for ijk, v in zip(self.voxels(), self.values)}
 
 
-@dataclass(frozen=True)
-class OverlapRegion:
-    """Inclusive integer voxel-index box where two occupied AABBs intersect."""
-
-    x_min: int
-    x_max: int
-    y_min: int
-    y_max: int
-    z_min: int
-    z_max: int
-
-    @property
-    def is_empty(self) -> bool:
-        return (self.x_min > self.x_max or self.y_min > self.y_max
-                or self.z_min > self.z_max)
-
-    @property
-    def mins(self) -> np.ndarray:
-        return np.array([self.x_min, self.y_min, self.z_min], dtype=np.int64)
-
-    @property
-    def maxs(self) -> np.ndarray:
-        return np.array([self.x_max, self.y_max, self.z_max], dtype=np.int64)
-
-
 def _floor_rows(rows: np.ndarray, grid: GridSpec, point) -> np.ndarray:
-    """Floor (3, N) metre coordinates in place onto the grid, ``- origin``
-    then ``/ resolution``, and return their (2, 3) integer bounds.  Raises
-    OutOfBoundsError naming the first point, ``point(i)`` in metres, whose
-    index leaves [INDEX_MIN, INDEX_MAX]; only the bounds are checked unless
-    one does."""
-    rows -= grid.origin[:, None]
+    """Floor (3, N) metre coordinates ``/ resolution`` in place onto the
+    grid and return their (2, 3) integer bounds.  Raises OutOfBoundsError
+    naming the first point, ``point(i)`` in metres, whose index leaves
+    [INDEX_MIN, INDEX_MAX]; only the bounds are checked unless one does."""
     rows /= grid.resolution
     np.floor(rows, out=rows)
     lo, hi = rows.min(axis=1), rows.max(axis=1)
@@ -204,7 +175,7 @@ def _bin_cells(rows: np.ndarray, box: np.ndarray, cell: np.ndarray,
     np.subtract(rows[0], (lo[0] * ny + lo[1]) * nz + lo[2], out=cell,
                 casting="unsafe")
     per_cell = np.bincount(cell, minlength=nx * ny * nz)
-    occupied = np.flatnonzero(per_cell)
+    occupied = np.flatnonzero(per_cell > 0)
     counts = per_cell[occupied]
     if slot is not None:
         # reuse the one box-sized array as the cell -> slot table
@@ -278,25 +249,17 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
                      np.empty(len(cloud)))
 
 
-def compute_overlap(bounds_a: np.ndarray, bounds_b: np.ndarray) -> OverlapRegion:
-    """Intersect two occupied AABBs: per-axis max of minima, min of maxima."""
+def compute_overlap(bounds_a: np.ndarray, bounds_b: np.ndarray) -> np.ndarray:
+    """Intersect two (2, 3) [mins; maxs] index boxes: per-axis max of minima,
+    min of maxima.  The box is empty when any min exceeds its max."""
     bounds_a = np.asarray(bounds_a, dtype=np.int64)
     bounds_b = np.asarray(bounds_b, dtype=np.int64)
     if bounds_a.shape != (2, 3) or bounds_b.shape != (2, 3):
         raise ValueError("bounds must be (2, 3) [mins; maxs] arrays")
-    mins = np.maximum(bounds_a[0], bounds_b[0])
-    maxs = np.minimum(bounds_a[1], bounds_b[1])
-    return OverlapRegion(int(mins[0]), int(maxs[0]), int(mins[1]),
-                         int(maxs[1]), int(mins[2]), int(maxs[2]))
+    return np.stack([np.maximum(bounds_a[0], bounds_b[0]),
+                     np.minimum(bounds_a[1], bounds_b[1])])
 
 
-def overlap_voxel_count(region: OverlapRegion) -> int:
-    """Total voxels (occupied or not) inside an overlap region; 0 if empty."""
-    if region.is_empty:
-        return 0
-    return int(
-        (region.x_max - region.x_min + 1)
-        * (region.y_max - region.y_min + 1)
-        * (region.z_max - region.z_min + 1)
-    )
-
+def overlap_voxel_count(box) -> int:
+    """Total voxels (occupied or not) inside an index box; 0 if it is empty."""
+    return math.prod(max(int(hi) - int(lo) + 1, 0) for lo, hi in zip(*box))

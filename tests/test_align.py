@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import json
 
 import numpy as np
@@ -202,19 +201,18 @@ class TestSweepAxis:
         assert curve[0][1] > curve[1][1]
         assert curve[1][1] == NO_OVERLAP_SENTINEL
 
-    def test_one_module_objective_call_per_value(self, scene, monkeypatch):
+    def test_one_module_objective_call_per_value(self, scene, monkeypatch,
+                                                 align_module):
         """Evaluation counters wrap ``voxmi.align.mi_objective``: a sweep
         must go through that name once per value, and ``mi_at`` never."""
-        # the package's ``align`` attribute is the function, not the module
-        align_mod = importlib.import_module("voxmi.align")
         calls = []
-        objective = align_mod.mi_objective
+        objective = align_module.mi_objective
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return objective(*args, **kwargs)
 
-        monkeypatch.setattr(align_mod, "mi_objective", counted)
+        monkeypatch.setattr(align_module, "mi_objective", counted)
         scan_a, scan_b = scene
         values = np.linspace(-1.0, 1.0, 7)
         sweep_axis(scan_a, scan_b, TRUTH_POSE, "ty", values)

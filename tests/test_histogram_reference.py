@@ -22,7 +22,6 @@ from voxmi import (
     FeatureKind,
     GridSpec,
     OutOfBoundsError,
-    OverlapRegion,
     PointCloud,
     apply_transform,
     bin_feature,
@@ -42,11 +41,7 @@ NEAR = st.floats(-6.0, 6.0)
 ANGLE = st.floats(-math.pi, math.pi)
 POSES = st.builds(EulerPose, st.one_of(NEAR, st.floats(-1e7, 1e7)), NEAR,
                   st.floats(-2.0, 2.0), ANGLE, ANGLE, ANGLE)
-# origins on the 1/64 m lattice keep whole-voxel shifts exact
-GRIDS = st.builds(GridSpec,
-                  st.tuples(*[st.integers(-64, 64)] * 3).map(
-                      lambda t: np.array(t) / 64.0),
-                  st.sampled_from([0.5, 1.0, 1.5]))
+GRIDS = st.builds(GridSpec, st.sampled_from([0.5, 1.0, 1.5]))
 
 
 def lattice_cloud(rng: np.random.Generator, n: int) -> PointCloud:
@@ -58,9 +53,9 @@ def lattice_cloud(rng: np.random.Generator, n: int) -> PointCloud:
 def reference_features(cloud: PointCloud, grid: GridSpec,
                        kind: FeatureKind) -> dict[tuple, float]:
     members: dict[tuple, list[float]] = {}
-    origin, res = grid.origin.tolist(), grid.resolution
+    res = grid.resolution
     for p in cloud.points.tolist():
-        key = tuple(math.floor((c - o) / res) for c, o in zip(p, origin))
+        key = tuple(math.floor(c / res) for c in p)
         members.setdefault(key, []).append(p[2])
     feats = {}
     for key, zs in members.items():
@@ -78,12 +73,13 @@ def reference_features(cloud: PointCloud, grid: GridSpec,
     return feats
 
 
-def reference_counts(feats_a: dict, feats_b: dict, region: OverlapRegion,
+def reference_counts(feats_a: dict, feats_b: dict, region: np.ndarray,
                      spec: BinningSpec) -> np.ndarray:
     counts = np.zeros((spec.bin_count + 1,) * 2, dtype=np.int64)
-    for i in range(region.x_min, region.x_max + 1):
-        for j in range(region.y_min, region.y_max + 1):
-            for k in range(region.z_min, region.z_max + 1):
+    (x_min, y_min, z_min), (x_max, y_max, z_max) = region.tolist()
+    for i in range(x_min, x_max + 1):
+        for j in range(y_min, y_max + 1):
+            for k in range(z_min, z_max + 1):
                 counts[bin_feature(feats_a.get((i, j, k)), spec),
                        bin_feature(feats_b.get((i, j, k)), spec)] += 1
     return counts
@@ -120,7 +116,7 @@ def test_histogram_matches_per_voxel_reference(seed, n_a, n_b, pose, grid,
             return
         raise AssertionError("a voxel index beyond the range was accepted")
     region = compute_overlap(box(ref_a), box(ref_b))
-    if region.is_empty:
+    if (region[0] > region[1]).any():
         try:
             joint_histogram_at(feat_a, scan_b, transform, grid, spec)
         except EmptyOverlapError:
@@ -140,8 +136,7 @@ def test_histogram_matches_per_voxel_reference(seed, n_a, n_b, pose, grid,
     # a region reaching past either box: cells outside a box are unoccupied
     mins = np.minimum(box(ref_a)[0], box(ref_b)[0]) - margin[:3]
     maxs = np.maximum(box(ref_a)[1], box(ref_b)[1]) + margin[3:]
-    hull = OverlapRegion(int(mins[0]), int(maxs[0]), int(mins[1]),
-                         int(maxs[1]), int(mins[2]), int(maxs[2]))
+    hull = np.stack([mins, maxs])
     moved_b = apply_transform(scan_b, transform)
     feat_b = compute_feature_map(voxelize(moved_b, grid), moved_b, kind)
     wide = build_joint_histogram(feat_a, feat_b, hull, spec)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voxmi import (
     NO_OVERLAP_SENTINEL,
@@ -13,7 +17,6 @@ from voxmi import (
     FeatureMap,
     GridSpec,
     JointHistogram,
-    OverlapRegion,
     PointCloud,
     apply_transform,
     bin_feature,
@@ -41,6 +44,10 @@ def feature_map(cells: dict[tuple, float], kind=FeatureKind.VARZ) -> FeatureMap:
                                 tuple(bounds[1] - bounds[0] + 1))
     values = np.array([cells[tuple(t)] for t in ijk], dtype=np.float64)
     return FeatureMap(kind=kind, cells=flat, values=values, bounds=bounds)
+
+
+def box(mins, maxs) -> np.ndarray:
+    return np.array([mins, maxs], dtype=np.int64)
 
 
 VARZ_SPEC = BinningSpec(kind=FeatureKind.VARZ)
@@ -75,6 +82,28 @@ class TestBinning:
         got = bin_features(values, VARZ_SPEC)
         expected = [bin_feature(float(v), VARZ_SPEC) for v in values]
         np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(min_value=0.0, allow_infinity=False),
+           clamp=st.floats(1e-300, 1e300), bins=st.integers(2, 300))
+    @example(value=1.7e308, clamp=2.0, bins=32)
+    @example(value=1e300, clamp=2.0, bins=32)
+    def test_every_finite_value_bins_alike_in_range(self, value, clamp, bins):
+        spec = BinningSpec(FeatureKind.VARZ, bin_count=bins,
+                           upper_clamp=clamp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = bin_feature(value, spec)
+            assert bin_features(np.array([value]), spec).tolist() == [scalar]
+        assert 1 <= scalar <= bins
+
+    def test_huge_feature_lands_in_the_top_bin(self):
+        spec = BinningSpec(kind=FeatureKind.COUNT)
+        feat = feature_map({(0, 0, 0): 1e300, (1, 0, 0): 1.0},
+                           kind=FeatureKind.COUNT)
+        hist = build_joint_histogram(feat, feat, feat.bounds, spec)
+        assert hist.counts[spec.bin_count, spec.bin_count] == 1
+        assert hist.counts[1, 1] == 1
 
     def test_negative_and_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -211,7 +240,7 @@ class TestBuildJointHistogram:
     def test_region_with_no_occupied_voxels_is_all_phi(self):
         feat_a = feature_map({(10, 10, 10): 0.5})
         feat_b = feature_map({(-10, -10, -10): 0.5})
-        region = OverlapRegion(0, 1, 0, 1, 0, 1)
+        region = box([0, 0, 0], [1, 1, 1])
         hist = build_joint_histogram(feat_a, feat_b, region, VARZ_SPEC)
         assert hist.counts[0, 0] == 8
         assert hist.counts.sum() == hist.total == 8
@@ -228,7 +257,7 @@ class TestBuildJointHistogram:
     def test_one_sided_voxels_pair_with_phi(self):
         feat_a = feature_map({(0, 0, 0): 0.0, (1, 0, 0): 1.0})
         feat_b = feature_map({(0, 0, 0): 0.0, (2, 0, 0): 1.0})
-        region = OverlapRegion(0, 2, 0, 0, 0, 0)
+        region = box([0, 0, 0], [2, 0, 0])
         hist = build_joint_histogram(feat_a, feat_b, region, VARZ_SPEC)
         assert hist.counts[1, 1] == 1          # shared voxel, value 0.0
         assert hist.counts[17, 0] == 1         # A-only voxel, value 1.0
@@ -247,7 +276,7 @@ class TestBuildJointHistogram:
             cells_b = {tuple(t): float(v) for t, v in
                        zip(ijk_b, rng.uniform(0, 2.5, size=n_b))}
             feat_a, feat_b = feature_map(cells_a), feature_map(cells_b)
-            region = OverlapRegion(0, 3, 0, 3, 0, 3)
+            region = box([0, 0, 0], [3, 3, 3])
             hist = build_joint_histogram(feat_a, feat_b, region, VARZ_SPEC)
             expected = np.zeros_like(hist.counts)
             for i in range(4):
@@ -277,12 +306,12 @@ class TestBuildJointHistogram:
     def test_empty_region_raises(self):
         feat = feature_map({(0, 0, 0): 1.0})
         with pytest.raises(EmptyOverlapError):
-            build_joint_histogram(feat, feat, OverlapRegion(1, 0, 0, 0, 0, 0),
+            build_joint_histogram(feat, feat, box([1, 0, 0], [0, 0, 0]),
                                   VARZ_SPEC)
 
     def test_kind_mismatch_rejected(self):
         feat = feature_map({(0, 0, 0): 1.0}, kind=FeatureKind.COUNT)
-        region = OverlapRegion(0, 0, 0, 0, 0, 0)
+        region = box([0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError):
             build_joint_histogram(feat, feat, region, VARZ_SPEC)
 

@@ -98,6 +98,13 @@ class TestXyzText:
             load_xyz_text(path)
         assert err.value.line == 2
 
+    def test_intensity_on_some_rows_only_reports_line_number(self, tmp_path):
+        path = tmp_path / "mixed.xyz"
+        path.write_text("1 2 3 0.5\n# note\n1 2 3\n")
+        with pytest.raises(FormatError, match="expected 4 fields") as err:
+            load_xyz_text(path)
+        assert err.value.line == 3
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, n=33)

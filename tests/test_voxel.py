@@ -1,4 +1,4 @@
-"""Voxelization, per-voxel features, dense boxes, and overlap regions."""
+"""Voxelization, per-voxel features, dense boxes, and overlap boxes."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from voxmi import (
     FeatureKind,
     GridSpec,
     OutOfBoundsError,
-    OverlapRegion,
     PointCloud,
     build_joint_histogram,
     compute_feature_map,
@@ -39,12 +38,6 @@ class TestVoxelIndices:
         cloud = PointCloud(np.array([[-0.5, 0.0, 0.0]]))
         ijk = voxel_indices(cloud, GridSpec())
         np.testing.assert_array_equal(ijk, [[-1, 0, 0]])
-
-    def test_origin_shifts_indices(self):
-        cloud = PointCloud(np.array([[0.5, 0.5, 0.5]]))
-        grid = GridSpec(origin=np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(voxel_indices(cloud, grid),
-                                      [[-1, 0, 0]])
 
     def test_resolution_scales_indices(self):
         cloud = PointCloud(np.array([[5.0, 5.0, 5.0]]))
@@ -103,7 +96,7 @@ class TestVoxelize:
     def test_cell_index_round_trips_to_voxel_indices(self):
         rng = np.random.default_rng(40)
         cloud = PointCloud(rng.uniform(-40, 25, size=(5000, 3)))
-        grid = GridSpec(origin=np.array([0.3, -0.7, 0.1]), resolution=0.75)
+        grid = GridSpec(resolution=0.75)
         vmap = voxelize(cloud, grid)
         shape = tuple(vmap.bounds[1] - vmap.bounds[0] + 1)
         cell = vmap.occupied[vmap.slot]
@@ -194,26 +187,24 @@ class TestOverlap:
     def test_partial_intersection(self):
         region = compute_overlap(bounds([0] * 3, [10] * 3),
                                  bounds([5] * 3, [15] * 3))
-        assert region.mins.tolist() == [5, 5, 5]
-        assert region.maxs.tolist() == [10, 10, 10]
+        assert region.tolist() == [[5, 5, 5], [10, 10, 10]]
 
     def test_disjoint_is_empty(self):
         region = compute_overlap(bounds([0] * 3, [2] * 3),
                                  bounds([5] * 3, [7] * 3))
-        assert region.is_empty
+        assert (region[0] > region[1]).any()
         assert overlap_voxel_count(region) == 0
 
     def test_identical_bounds_overlap_fully(self):
         b = bounds([-3, 0, 2], [4, 9, 5])
         region = compute_overlap(b, b)
-        assert region.mins.tolist() == [-3, 0, 2]
-        assert region.maxs.tolist() == [4, 9, 5]
+        assert region.tolist() == [[-3, 0, 2], [4, 9, 5]]
 
     def test_single_voxel_region_counts_one(self):
-        assert overlap_voxel_count(OverlapRegion(0, 0, 0, 0, 0, 0)) == 1
+        assert overlap_voxel_count(bounds([0] * 3, [0] * 3)) == 1
 
     def test_cube_region_counts_six_cubed(self):
-        assert overlap_voxel_count(OverlapRegion(5, 10, 5, 10, 5, 10)) == 216
+        assert overlap_voxel_count(bounds([5] * 3, [10] * 3)) == 216
 
 
 class TestBoxLimit:
@@ -239,7 +230,7 @@ class TestBoxLimit:
         cloud = PointCloud(np.array([[0.5, 0.5, 0.5]]))
         feat = compute_feature_map(voxelize(cloud, GridSpec()), cloud,
                                    FeatureKind.COUNT)
-        region = OverlapRegion(0, 1 << 10, 0, 1 << 10, 0, 1 << 10)
+        region = bounds([0] * 3, [1 << 10] * 3)
         with pytest.raises(BoxTooLargeError):
             build_joint_histogram(feat, feat, region,
                                   BinningSpec(kind=FeatureKind.COUNT))
