@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,17 +367,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except (VoxmiError, OSError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (NoOverlapError, EmptyOverlapError)) else 1
+    with warnings.catch_warnings():
+        # a warning is about the user's input, not a line of voxmi
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (VoxmiError, OSError, ValueError, IndexError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return (2 if isinstance(exc, (NoOverlapError, EmptyOverlapError))
+                    else 1)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ overlap region only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .voxel import (
     GridSpec,
     VoxelIndexMap,
     _bin_cells,
-    _features,
+    _feature_values,
     _floor_rows,
     box_shape,
     compute_overlap,
@@ -77,10 +78,18 @@ def bin_features(values: np.ndarray, spec: BinningSpec) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.size and (not np.isfinite(values).all() or (values < 0).any()):
         raise ValueError("feature values must be finite and >= 0")
+    return _bins(values, spec, np.int64)
+
+
+def _bins(values: np.ndarray, spec: BinningSpec, dtype) -> np.ndarray:
+    """:func:`bin_features` of values known finite and >= 0, as ``dtype``."""
     b = spec.bin_count
     with np.errstate(over="ignore"):  # a huge value scales to inf: top bin
-        scaled = values / spec.upper_clamp * b
-    return 1 + np.minimum(scaled, b - 1).astype(np.int64)
+        scaled = np.divide(values, spec.upper_clamp, dtype=np.float64)
+        scaled *= b
+    bins = np.minimum(scaled, b - 1, out=scaled).astype(dtype)
+    bins += 1
+    return bins
 
 
 @dataclass(frozen=True)
@@ -107,30 +116,34 @@ class MIResult:
 
 
 def _region_bins(feat: FeatureMap, region: np.ndarray, shape,
-                 spec: BinningSpec) -> np.ndarray:
-    """Bins of ``feat`` on every cell of the region; 0 outside its box.
+                 spec: BinningSpec, weight: int) -> np.ndarray:
+    """Bins of ``feat`` times ``weight`` on every cell of the region; 0
+    outside its box.
 
-    The bin raster of the whole box is made once per spec and cached on the
-    feature map, so scan A is binned once per run.  A region inside the box
-    gets a view of the raster, not a copy.
+    The raster of the whole box is made once per spec and weight and cached
+    on the feature map, so scan A is binned once per run.  A region inside
+    the box gets a view of the raster, not a copy.
     """
-    raster = feat.binned.get(spec)
+    raster = feat.binned.get((spec, weight))
     if raster is None:
         # voxelize checks a scan's box against the dense-grid limit, and
         # PreparedScan scan A's box, which bounds an evaluation's boxes
-        raster = np.zeros(feat.bounds[1] - feat.bounds[0] + 1,
-                          dtype=np.min_scalar_type(spec.bin_count))
-        raster.reshape(-1)[feat.cells] = bin_features(feat.values, spec)
-        feat.binned[spec] = raster
-    lo = np.maximum(region[0], feat.bounds[0])
-    hi = np.maximum(np.minimum(region[1], feat.bounds[1]) + 1, lo)
-    inner = raster[tuple(slice(a - m, b - m)
-                         for a, b, m in zip(lo, hi, feat.bounds[0]))]
+        dtype = np.intp if weight > 1 else np.min_scalar_type(spec.bin_count)
+        raster = np.zeros(feat.bounds[1] - feat.bounds[0] + 1, dtype=dtype)
+        # a feature map holds finite values >= 0 only, so they bin unchecked
+        bins = _bins(feat.values, spec, dtype)
+        if weight > 1:
+            bins *= weight
+        raster.reshape(-1)[feat.cells] = bins
+        feat.binned[spec, weight] = raster
+    (r0, r1), (b0, b1) = region.tolist(), feat.bounds.tolist()
+    lo = [max(r, b) for r, b in zip(r0, b0)]
+    hi = [max(min(r, b) + 1, m) for r, b, m in zip(r1, b1, lo)]
+    inner = raster[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, b0))]
     if inner.shape == shape:
         return inner
     out = np.zeros(shape, dtype=raster.dtype)
-    out[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, region[0]))] = \
-        inner
+    out[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, r0))] = inner
     return out
 
 
@@ -151,9 +164,10 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
         raise EmptyOverlapError("overlap region is empty")
     shape = box_shape(region)
     width = spec.bin_count + 1
-    pairs = np.multiply(_region_bins(feat_a, region, shape, spec), width,
-                        dtype=np.intp)
-    pairs += _region_bins(feat_b, region, shape, spec)
+    # A's raster holds its bin times the width, so a cell's pair index is
+    # one sum
+    pairs = np.add(_region_bins(feat_a, region, shape, spec, width),
+                   _region_bins(feat_b, region, shape, spec, 1))
     counts = np.bincount(pairs.reshape(-1), minlength=width * width)
     return JointHistogram(counts=counts.reshape(width, width),
                           total=pairs.size, spec=spec)
@@ -167,7 +181,12 @@ def entropy(counts) -> float:
     total = arr.sum()
     if not total > 0:
         raise ValueError("entropy of an all-zero distribution is undefined")
-    p = arr[arr > 0] / total
+    return _entropy(arr, total)
+
+
+def _entropy(counts: np.ndarray, total) -> float:
+    """:func:`entropy` of counts known non-negative with sum ``total`` > 0."""
+    p = counts[counts > 0] / total
     # summing in sorted order makes the result independent of cell order,
     # so transposed histograms give bit-identical entropies
     return float(-np.sort(p * np.log(p)).sum())
@@ -183,18 +202,50 @@ def mutual_information(hist: JointHistogram,
     when no voxel is occupied in both scans.
     """
     m = hist.counts if include_phi else hist.counts[1:, 1:]
-    if not m.any():
+    if m.size and m.min() < 0:
+        raise ValueError("counts must be non-negative")
+    # the marginals and the joint share this total
+    total = m.sum()
+    if not total > 0:
         raise EmptyOverlapError(
             "overlap region is empty" if include_phi else
             "no voxel is occupied in both scans, so MI without the "
             "no-feature bin is undefined")
-    h_x = entropy(m.sum(axis=1))
-    h_y = entropy(m.sum(axis=0))
-    h_xy = entropy(m)
+    h_x = _entropy(m.sum(axis=1), total)
+    h_y = _entropy(m.sum(axis=0), total)
+    h_xy = _entropy(m, total)
     mi = h_x + h_y - h_xy
     if -1e-12 <= mi < 0.0:
         mi = 0.0
     return MIResult(mi=mi, h_x=h_x, h_y=h_y, h_xy=h_xy)
+
+
+# Scaling by a power of two commutes with the rounding of every product and
+# sum of a move that stays far from underflow and overflow, as it does when
+# the resolution and every nonzero magnitude among B's coordinates, R and t
+# lie in this range.  Outside it, a subnormal rotation entry, for one, can
+# round a coordinate near 0 to the other side of it.
+_FOLD_RANGE = (2.0 ** -256, 2.0 ** 256)
+
+
+def _in_fold_range(values) -> bool:
+    lo, hi = _FOLD_RANGE
+    return all(v == 0.0 or lo <= abs(v) <= hi for v in values)
+
+
+def _fold_scale(points: np.ndarray, res: float,
+                buffer: np.ndarray) -> float | None:
+    """1 / res if a move of ``points`` may fold it into R and t: res is a
+    power of two and, unless it is 1, which folds exactly whatever the
+    magnitudes, B's coordinates lie in the range."""
+    if math.frexp(res)[0] != 0.5:
+        return None
+    if res != 1.0:
+        coords = np.abs(points, out=buffer)
+        if not _in_fold_range((res, coords.max(), coords.min(
+                where=coords > 0, initial=np.inf))):
+            return None
+    return 1 / res
 
 
 class PreparedScan:
@@ -207,6 +258,9 @@ class PreparedScan:
     over the overlap region, which lies in A's box, plus a guard shell of
     at most one cell per side; only A's box is checked against the
     dense-grid limit, so no pose of B can raise BoxTooLargeError.
+    ``scale`` is 1 / resolution when a move may fold it into R and t (a
+    power-of-two resolution and B's coordinates in ``_FOLD_RANGE``), else
+    None.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
@@ -222,24 +276,35 @@ class PreparedScan:
         self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
         self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
                              if spec.kind is FeatureKind.VARZ else (None, None))
+        self.scale = _fold_scale(self.points, grid.resolution, self.rows)
 
     def __len__(self) -> int:
         return self.points.shape[1]
 
     def apply_transform(self, t: np.ndarray) -> None:
         """Move B by the rigid transform ``t`` (not validated) and floor it
-        onto the grid: ``R @ p``, ``+ t``, ``/ resolution``;
-        ``bounds`` becomes moved B's (2, 3) index box."""
-        rows, r = self.rows, t[:3, :3]
+        onto the grid: ``R @ p``, ``+ t``, ``/ resolution``, where a
+        power-of-two resolution is folded into R and t, which gives the
+        same cells; ``bounds`` becomes moved B's (2, 3) index box."""
+        rows, r, shift = self.rows, t[:3, :3], t[:3, 3]
+        fold = self.scale is not None and _in_fold_range(
+            t[:3].ravel().tolist())
+        if fold:
+            r, shift = r * self.scale, shift * self.scale
         # a GEMM on the transposed view, bit for bit the product that
         # ``geometry.apply_transform`` makes, with no copy of the scan
         np.matmul(r, self.points, out=rows)
         for axis in range(3):
-            rows[axis] += t[axis, 3]
-        if self.z is not None:
-            self.z[:] = rows[2]
+            rows[axis] += shift[axis]
+        res = self.grid.resolution
+        if not fold:
+            if self.z is not None:
+                self.z[:] = rows[2]
+            rows /= res
+        elif self.z is not None:
+            np.multiply(rows[2], res, out=self.z)  # z in metres, exactly
         self.bounds = _floor_rows(
-            rows, self.grid, lambda i: r @ self.points[:, i] + t[:3, 3])
+            rows, lambda i: t[:3, :3] @ self.points[:, i] + t[:3, 3])
 
     def voxelize(self, region: np.ndarray) -> VoxelIndexMap:
         """Bin moved B over the (2, 3) index box ``region`` and a guard
@@ -247,18 +312,24 @@ class PreparedScan:
         region are clamped into the shell, which no histogram reads, so a
         region voxel holds the same points, in the same order, as in B's
         own box."""
-        shell = np.stack([self.bounds[0] < region[0],
-                          self.bounds[1] > region[1]])
-        box = np.stack([region[0] - shell[0], region[1] + shell[1]])
-        for axis in np.flatnonzero(shell.any(axis=0)):
-            np.clip(self.rows[axis], box[0, axis], box[1, axis],
-                    out=self.rows[axis])
-        return _bin_cells(self.rows, box, self.cell, self.slot)
+        below = self.bounds[0] < region[0]
+        above = self.bounds[1] > region[1]
+        box = np.array((region[0] - below, region[1] + above))
+        (lo, hi), rows = box.tolist(), self.rows
+        for axis in range(3):
+            if below[axis]:
+                np.maximum(rows[axis], lo[axis], out=rows[axis])
+            if above[axis]:
+                np.minimum(rows[axis], hi[axis], out=rows[axis])
+        return _bin_cells(rows, box, self.cell, self.slot)
 
     def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
         """Features of the voxels of the last :meth:`voxelize`; its spent
         ``rows[0]`` holds the deviations."""
-        return _features(voxel_map, self.z, self.spec.kind, self.rows[0])
+        values = _feature_values(voxel_map, self.z, self.spec.kind,
+                                 self.rows[0])
+        return FeatureMap._of_points(self.spec.kind, voxel_map.occupied,
+                                     values, voxel_map.bounds)
 
     def histogram(self, transform: np.ndarray) -> JointHistogram:
         """Joint histogram at the rigid ``transform`` (not validated).

@@ -17,6 +17,7 @@ All writers format floats with ``repr`` so save/load round trips are exact.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +53,15 @@ class PoseTrack:
         return self.matrices[index]
 
 
+def _warn(message: str) -> None:
+    """Warn on behalf of the first caller outside this module, so that the
+    warning names the line that called the public loader."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _float_repr(value: float) -> str:
     return repr(float(value))
 
@@ -66,7 +76,7 @@ def load_kitti_bin(path) -> PointCloud:
             "(x, y, z, intensity float32 records)",
             byte_offset=len(raw) - len(raw) % 16)
     if len(raw) == 0:
-        warnings.warn(f"{path}: empty scan file", stacklevel=2)
+        _warn(f"{path}: empty scan file")
         return PointCloud(np.zeros((0, 3)), intensity=np.zeros(0))
     data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
     if not np.isfinite(data).all():
@@ -166,7 +176,8 @@ def _parse_ply_header(lines: list[str], path):
                         path, f"vertex element lacks property {axis!r}",
                         line=lineno)
             return vertex_count, properties, lineno
-    raise FormatError(path, "header never terminated with end_header")
+    raise FormatError(path, "header never terminated with end_header",
+                      line=len(lines) + 1)
 
 
 def load_ply_ascii(path) -> PointCloud:
@@ -176,7 +187,8 @@ def load_ply_ascii(path) -> PointCloud:
     data_lines = lines[header_end:]
     if len(data_lines) < count:
         raise FormatError(
-            path, f"declared {count} vertices but found {len(data_lines)}")
+            path, f"declared {count} vertices but found {len(data_lines)}",
+            line=len(lines) + 1)
     rows = np.empty((count, len(properties)))
     for i in range(count):
         lineno = header_end + 1 + i

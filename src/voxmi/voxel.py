@@ -103,8 +103,9 @@ class FeatureMap:
     (the tight occupied box, for a whole scan), ``cells`` the
     ascending linear (C-order) indices of the occupied cells inside it and
     ``values`` their features.  Every other cell carries the no-feature
-    value.  ``binned`` caches, per binning spec, the box's bin raster that
-    :func:`voxmi.mi.build_joint_histogram` makes.
+    value.  ``binned`` caches the rasters over the box that
+    :func:`voxmi.mi.build_joint_histogram` makes: per binning spec and
+    weight, each cell's bin times the weight.
     """
 
     kind: FeatureKind
@@ -121,6 +122,22 @@ class FeatureMap:
             not np.isfinite(self.values).all() or (self.values < 0).any()
         ):
             raise ValueError("features must be finite and >= 0")
+
+    @classmethod
+    def _of_points(cls, kind: FeatureKind, cells: np.ndarray,
+                   values: np.ndarray, bounds: np.ndarray) -> "FeatureMap":
+        """The map of features computed from finite points.  They are
+        counts or means of squares, so only a variance that overflowed can
+        break the constructor's checks, and one finiteness pass is all this
+        makes."""
+        if kind is FeatureKind.VARZ and not np.isfinite(values).all():
+            raise ValueError("features must be finite and >= 0")
+        feat = object.__new__(cls)
+        for name, value in (("kind", kind), ("cells", cells),
+                            ("values", values), ("bounds", bounds),
+                            ("binned", {})):
+            object.__setattr__(feat, name, value)
+        return feat
 
     def __len__(self) -> int:
         return self.cells.shape[0]
@@ -139,12 +156,11 @@ class FeatureMap:
                 for ijk, v in zip(self.voxels(), self.values)}
 
 
-def _floor_rows(rows: np.ndarray, grid: GridSpec, point) -> np.ndarray:
-    """Floor (3, N) metre coordinates ``/ resolution`` in place onto the
-    grid and return their (2, 3) integer bounds.  Raises OutOfBoundsError
-    naming the first point, ``point(i)`` in metres, whose index leaves
-    [INDEX_MIN, INDEX_MAX]; only the bounds are checked unless one does."""
-    rows /= grid.resolution
+def _floor_rows(rows: np.ndarray, point) -> np.ndarray:
+    """Floor (3, N) grid coordinates in place and return their (2, 3)
+    integer bounds.  Raises OutOfBoundsError naming the first point,
+    ``point(i)`` in metres, whose index leaves [INDEX_MIN, INDEX_MAX]; only
+    the bounds are checked unless one does."""
     np.floor(rows, out=rows)
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     if (lo < INDEX_MIN).any() or (hi > INDEX_MAX).any():
@@ -155,7 +171,7 @@ def _floor_rows(rows: np.ndarray, grid: GridSpec, point) -> np.ndarray:
             f"point {i} at {point(i)} maps to voxel index "
             f"{ijk[i]} outside [{INDEX_MIN}, {INDEX_MAX}]"
         )
-    return np.stack([lo, hi]).astype(np.int64)
+    return np.array((lo, hi), dtype=np.int64)
 
 
 def _bin_cells(rows: np.ndarray, box: np.ndarray, cell: np.ndarray,
@@ -188,8 +204,9 @@ def _bin_cells(rows: np.ndarray, box: np.ndarray, cell: np.ndarray,
 def _floored(cloud: PointCloud, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Floored grid coordinates as (3, N) floats, one contiguous row per
     axis, and their (2, 3) integer bounds."""
-    rows = np.array(cloud.points.T, order="C")  # always a copy
-    return rows, _floor_rows(rows, grid, lambda i: cloud.points[i])
+    rows = np.empty((3, len(cloud)))
+    np.divide(cloud.points.T, grid.resolution, out=rows)
+    return rows, _floor_rows(rows, lambda i: cloud.points[i])
 
 
 def voxel_indices(cloud: PointCloud, grid: GridSpec) -> np.ndarray:
@@ -215,21 +232,19 @@ def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
                       np.empty(n, dtype=np.intp))
 
 
-def _features(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,
-              dev: np.ndarray) -> FeatureMap:
+def _feature_values(voxel_map: VoxelIndexMap, z: np.ndarray,
+                    kind: FeatureKind, dev: np.ndarray) -> np.ndarray:
     counts = voxel_map.counts
     if kind is FeatureKind.COUNT:
-        values = counts.astype(np.float64)
-    else:
-        slot = voxel_map.slot
-        means = np.bincount(slot, weights=z, minlength=counts.size) / counts
-        np.take(means, slot, out=dev, mode="clip")
-        np.subtract(z, dev, out=dev)
-        np.square(dev, out=dev)
-        values = np.bincount(slot, weights=dev, minlength=counts.size)
-        values /= counts
-    return FeatureMap(kind=kind, cells=voxel_map.occupied, values=values,
-                      bounds=voxel_map.bounds)
+        return counts.astype(np.float64)
+    slot = voxel_map.slot
+    means = np.bincount(slot, weights=z, minlength=counts.size) / counts
+    np.take(means, slot, out=dev, mode="clip")
+    np.subtract(z, dev, out=dev)
+    np.square(dev, out=dev)
+    values = np.bincount(slot, weights=dev, minlength=counts.size)
+    values /= counts
+    return values
 
 
 def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
@@ -245,8 +260,10 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
         raise ValueError(
             f"voxel map covers {voxel_map.slot.size} points, cloud has {len(cloud)}"
         )
-    return _features(voxel_map, cloud.points[:, 2], kind,
-                     np.empty(len(cloud)))
+    values = _feature_values(voxel_map, cloud.points[:, 2], kind,
+                             np.empty(len(cloud)))
+    return FeatureMap(kind=kind, cells=voxel_map.occupied, values=values,
+                      bounds=voxel_map.bounds)
 
 
 def compute_overlap(bounds_a: np.ndarray, bounds_b: np.ndarray) -> np.ndarray:
@@ -256,8 +273,9 @@ def compute_overlap(bounds_a: np.ndarray, bounds_b: np.ndarray) -> np.ndarray:
     bounds_b = np.asarray(bounds_b, dtype=np.int64)
     if bounds_a.shape != (2, 3) or bounds_b.shape != (2, 3):
         raise ValueError("bounds must be (2, 3) [mins; maxs] arrays")
-    return np.stack([np.maximum(bounds_a[0], bounds_b[0]),
-                     np.minimum(bounds_a[1], bounds_b[1])])
+    box = np.maximum(bounds_a, bounds_b)
+    np.minimum(bounds_a[1], bounds_b[1], out=box[1])
+    return box
 
 
 def overlap_voxel_count(box) -> int:

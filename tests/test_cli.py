@@ -182,6 +182,16 @@ class TestSweep:
 
 
 class TestHistogram:
+    def test_empty_scan_warning_names_no_source_line(self, scans, tmp_path,
+                                                     capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        code = main(["histogram", str(empty), scans["a"]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[0] == f"warning: {empty}: empty scan file"
+        assert ".py" not in err
+
     def test_identical_scans_have_no_off_diagonal_mass(self, scans, tmp_path,
                                                        capsys):
         out_csv = tmp_path / "hist.csv"

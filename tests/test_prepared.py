@@ -64,28 +64,71 @@ def whole_box_histogram(feat_a, scan_b, transform, cfg):
 @pytest.mark.parametrize("kind", list(FeatureKind))
 def test_reused_scan_matches_whole_box_binning_in_any_order(kind,
                                                             align_module):
+    """At powers of two, whose 1 / resolution the move folds into R and t,
+    and at 0.75, which it divides by."""
     scan_a, scan_b = synth_scene_pair(SceneSpec(seed=4, n_points=6000,
                                                 n_structures=20))
-    cfg = AlignmentConfig(feature=kind)
-    prepared = align_module._prepare(scan_a, scan_b, cfg)
     rng = np.random.default_rng(40)
     # near poses, partial overlaps past every face of A's box, a pose whose
     # boxes miss and one that leaves the index range
     poses = [EulerPose(*rng.uniform(-25, 25, 2), rng.uniform(-4, 4),
                        *rng.uniform(-0.4, 0.4, 3)) for _ in range(40)]
     poses += [EulerPose(tx=1e4), EulerPose(ty=-1e7)]
-    for k in [*rng.permutation(len(poses)), *rng.permutation(len(poses))]:
-        transform = euler_to_transform(poses[k])
-        try:
-            expected = whole_box_histogram(prepared.feat_a, scan_b, transform,
-                                           cfg)
-        except (EmptyOverlapError, OutOfBoundsError) as exc:
-            with pytest.raises(type(exc)):
-                prepared.histogram(transform)
-            continue
-        hist = prepared.histogram(transform)
-        np.testing.assert_array_equal(hist.counts, expected.counts)
-        assert hist.total == expected.total
+    for resolution in (1.0, 0.5, 2.0, 0.75):
+        cfg = AlignmentConfig(feature=kind, grid=GridSpec(resolution))
+        prepared = align_module._prepare(scan_a, scan_b, cfg)
+        for k in [*rng.permutation(len(poses)), *rng.permutation(len(poses))]:
+            transform = euler_to_transform(poses[k])
+            try:
+                expected = whole_box_histogram(prepared.feat_a, scan_b,
+                                               transform, cfg)
+            except (EmptyOverlapError, OutOfBoundsError) as exc:
+                with pytest.raises(type(exc)):
+                    prepared.histogram(transform)
+                continue
+            hist = prepared.histogram(transform)
+            np.testing.assert_array_equal(hist.counts, expected.counts)
+            assert hist.total == expected.total
+
+
+@pytest.mark.parametrize("resolution", [0.5, 2.0])
+def test_subnormal_moves_floor_as_the_divided_move(resolution, align_module):
+    """Folding 1 / resolution into R and t rounds a subnormal product
+    otherwise, which can put a coordinate near 0 on the other side of it,
+    so a move with a subnormal rotation entry or coordinate divides."""
+    normal = [[0.0, y, 0.0] for y in (-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5)]
+    subnormal = [[0.0, k * 5e-324, 0.0] for k in range(-9, 10)]
+    cfg = AlignmentConfig(grid=GridSpec(resolution))
+    for points, poses in [
+        (normal, [EulerPose(rz=5e-324), EulerPose(rz=-5e-324),
+                  EulerPose(rx=5e-324, rz=1e-320)]),
+        (normal + subnormal, [EulerPose(rz=0.3), EulerPose(rz=1.0),
+                              EulerPose(rz=-0.7)]),
+    ]:
+        scan = PointCloud(np.array(points))
+        prepared = align_module._prepare(scan, scan, cfg)
+        for pose in poses:
+            transform = euler_to_transform(pose)
+            prepared.apply_transform(transform)
+            np.testing.assert_array_equal(
+                prepared.rows.T,
+                voxel_indices(apply_transform(scan, transform), cfg.grid))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+def test_overflowing_variance_is_refused(align_module):
+    """Two z-heights 1e160 apart in one 1e200 m voxel have a variance past
+    the largest float; B's feature map refuses it as a public one does."""
+    scan_a = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    scan_b = PointCloud(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e160]]))
+    cfg = AlignmentConfig(grid=GridSpec(resolution=1e200))
+    with pytest.raises(ValueError, match="features must be finite and >= 0"):
+        compute_feature_map(voxelize(scan_b, cfg.grid), scan_b, cfg.feature)
+    prepared = align_module._prepare(scan_a, scan_b, cfg)
+    with pytest.raises(ValueError, match="features must be finite and >= 0"):
+        prepared.histogram(np.eye(4))
+    with pytest.raises(ValueError, match="features must be finite and >= 0"):
+        mi_at(scan_a, scan_b, EulerPose(), cfg)
 
 
 @pytest.mark.parametrize("n", [1, 2, 50])

@@ -1,7 +1,8 @@
 """Scan loaders either round-trip exactly or raise a located FormatError.
 
 A broken ``bin`` record is named by its byte offset, a broken ``xyz`` or
-``ply`` record or ``ply`` header line by its line number.
+``ply`` record or ``ply`` header line by its line number, and a ``ply``
+file that ends too soon by the first line past its end.
 """
 
 from __future__ import annotations
@@ -132,3 +133,22 @@ def test_corrupt_text_scan_names_the_line(data, fmt):
             load_scan(path)
     assert err.value.line == at + 1
     assert str(err.value).startswith(f"{path}, line {at + 1}: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cut=st.sampled_from(["records", "header"]))
+def test_ply_cut_at_a_line_boundary_names_the_line_past_the_end(data, cut):
+    """A file that ends before its last vertex or before ``end_header``."""
+    cloud = data.draw(clouds(FINITE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.ply"
+        save_scan(cloud, path)
+        lines = path.read_text().splitlines()
+        first = lines.index("end_header") + 1
+        keep = data.draw(st.integers(first, len(lines) - 1) if cut == "records"
+                         else st.integers(2, first - 1))
+        path.write_text("".join(line + "\n" for line in lines[:keep]))
+        with pytest.raises(FormatError) as err:
+            load_scan(path)
+    assert err.value.line == keep + 1
+    assert str(err.value).startswith(f"{path}, line {keep + 1}: ")

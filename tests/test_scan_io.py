@@ -49,6 +49,14 @@ class TestKittiBin:
             cloud = load_kitti_bin(path)
         assert len(cloud) == 0
 
+    @pytest.mark.parametrize("load", [load_kitti_bin, load_scan])
+    def test_empty_file_warning_names_the_caller(self, tmp_path, load):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.warns(UserWarning, match="empty") as record:
+            load(path)
+        assert [w.filename for w in record] == [__file__]
+
     def test_misaligned_file_is_a_format_error(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(b"\x00" * 17)
