@@ -13,7 +13,6 @@ overlap region only.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,28 +114,38 @@ class MIResult:
     h_xy: float
 
 
-def _region_bins(feat: FeatureMap, region: np.ndarray, shape,
-                 spec: BinningSpec, weight: int) -> np.ndarray:
-    """Bins of ``feat`` times ``weight`` on every cell of the region; 0
-    outside its box.
+def _raster(feat: FeatureMap, spec: BinningSpec) -> np.ndarray:
+    """Bins of ``feat`` over its box, 0 on unoccupied cells."""
+    # voxelize checks a scan's box against the dense-grid limit, and
+    # PreparedScan scan A's box, which bounds an evaluation's boxes
+    raster = np.zeros(feat.bounds[1] - feat.bounds[0] + 1,
+                      dtype=np.min_scalar_type(spec.bin_count))
+    # a feature map holds finite values >= 0 only, so they bin unchecked
+    raster.reshape(-1)[feat.cells] = _bins(feat.values, spec, raster.dtype)
+    return raster
 
-    The raster of the whole box is made once per spec and weight and cached
-    on the feature map, so scan A is binned once per run.  A region inside
-    the box gets a view of the raster, not a copy.
+
+def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> np.ndarray:
+    """Bins of ``feat`` times ``bin_count + 1`` over its box, so that adding
+    the other scan's bin gives a cell's pair index.
+
+    Made once per spec and cached on the feature map, so scan A is binned
+    once per run.
     """
-    raster = feat.binned.get((spec, weight))
+    raster = feat.binned.get(spec)
     if raster is None:
-        # voxelize checks a scan's box against the dense-grid limit, and
-        # PreparedScan scan A's box, which bounds an evaluation's boxes
-        dtype = np.intp if weight > 1 else np.min_scalar_type(spec.bin_count)
-        raster = np.zeros(feat.bounds[1] - feat.bounds[0] + 1, dtype=dtype)
-        # a feature map holds finite values >= 0 only, so they bin unchecked
-        bins = _bins(feat.values, spec, dtype)
-        if weight > 1:
-            bins *= weight
-        raster.reshape(-1)[feat.cells] = bins
-        feat.binned[spec, weight] = raster
-    (r0, r1), (b0, b1) = region.tolist(), feat.bounds.tolist()
+        width = spec.bin_count + 1
+        raster = feat.binned[spec] = np.multiply(
+            _raster(feat, spec), width,
+            dtype=np.min_scalar_type(spec.bin_count * width))
+    return raster
+
+
+def _region_view(raster: np.ndarray, bounds: np.ndarray, region: np.ndarray,
+                 shape) -> np.ndarray:
+    """``raster`` over the box ``bounds`` on every cell of the region; 0
+    outside the box.  A region inside the box gets a view, not a copy."""
+    (r0, r1), (b0, b1) = region.tolist(), bounds.tolist()
     lo = [max(r, b) for r, b in zip(r0, b0)]
     hi = [max(min(r, b) + 1, m) for r, b, m in zip(r1, b1, lo)]
     inner = raster[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, b0))]
@@ -164,10 +173,11 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
         raise EmptyOverlapError("overlap region is empty")
     shape = box_shape(region)
     width = spec.bin_count + 1
-    # A's raster holds its bin times the width, so a cell's pair index is
-    # one sum
-    pairs = np.add(_region_bins(feat_a, region, shape, spec, width),
-                   _region_bins(feat_b, region, shape, spec, 1))
+    # a cell's pair index is A's bin times the width plus B's bin
+    pairs = np.add(
+        _region_view(_pair_raster(feat_a, spec), feat_a.bounds, region, shape),
+        _region_view(_raster(feat_b, spec), feat_b.bounds, region, shape),
+        dtype=np.intp)
     counts = np.bincount(pairs.reshape(-1), minlength=width * width)
     return JointHistogram(counts=counts.reshape(width, width),
                           total=pairs.size, spec=spec)
@@ -220,34 +230,6 @@ def mutual_information(hist: JointHistogram,
     return MIResult(mi=mi, h_x=h_x, h_y=h_y, h_xy=h_xy)
 
 
-# Scaling by a power of two commutes with the rounding of every product and
-# sum of a move that stays far from underflow and overflow, as it does when
-# the resolution and every nonzero magnitude among B's coordinates, R and t
-# lie in this range.  Outside it, a subnormal rotation entry, for one, can
-# round a coordinate near 0 to the other side of it.
-_FOLD_RANGE = (2.0 ** -256, 2.0 ** 256)
-
-
-def _in_fold_range(values) -> bool:
-    lo, hi = _FOLD_RANGE
-    return all(v == 0.0 or lo <= abs(v) <= hi for v in values)
-
-
-def _fold_scale(points: np.ndarray, res: float,
-                buffer: np.ndarray) -> float | None:
-    """1 / res if a move of ``points`` may fold it into R and t: res is a
-    power of two and, unless it is 1, which folds exactly whatever the
-    magnitudes, B's coordinates lie in the range."""
-    if math.frexp(res)[0] != 0.5:
-        return None
-    if res != 1.0:
-        coords = np.abs(points, out=buffer)
-        if not _in_fold_range((res, coords.max(), coords.min(
-                where=coords > 0, initial=np.inf))):
-            return None
-    return 1 / res
-
-
 class PreparedScan:
     """Scan B laid out once for evaluations against scan A's feature map.
 
@@ -258,9 +240,6 @@ class PreparedScan:
     over the overlap region, which lies in A's box, plus a guard shell of
     at most one cell per side; only A's box is checked against the
     dense-grid limit, so no pose of B can raise BoxTooLargeError.
-    ``scale`` is 1 / resolution when a move may fold it into R and t (a
-    power-of-two resolution and B's coordinates in ``_FOLD_RANGE``), else
-    None.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
@@ -276,33 +255,25 @@ class PreparedScan:
         self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
         self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
                              if spec.kind is FeatureKind.VARZ else (None, None))
-        self.scale = _fold_scale(self.points, grid.resolution, self.rows)
 
     def __len__(self) -> int:
         return self.points.shape[1]
 
     def apply_transform(self, t: np.ndarray) -> None:
         """Move B by the rigid transform ``t`` (not validated) and floor it
-        onto the grid: ``R @ p``, ``+ t``, ``/ resolution``, where a
-        power-of-two resolution is folded into R and t, which gives the
-        same cells; ``bounds`` becomes moved B's (2, 3) index box."""
-        rows, r, shift = self.rows, t[:3, :3], t[:3, 3]
-        fold = self.scale is not None and _in_fold_range(
-            t[:3].ravel().tolist())
-        if fold:
-            r, shift = r * self.scale, shift * self.scale
+        onto the grid: ``R @ p``, ``+ t``, ``/ resolution``, a division
+        skipped at resolution 1; ``bounds`` becomes moved B's (2, 3)
+        index box."""
+        rows = self.rows
         # a GEMM on the transposed view, bit for bit the product that
         # ``geometry.apply_transform`` makes, with no copy of the scan
-        np.matmul(r, self.points, out=rows)
+        np.matmul(t[:3, :3], self.points, out=rows)
         for axis in range(3):
-            rows[axis] += shift[axis]
-        res = self.grid.resolution
-        if not fold:
-            if self.z is not None:
-                self.z[:] = rows[2]
-            rows /= res
-        elif self.z is not None:
-            np.multiply(rows[2], res, out=self.z)  # z in metres, exactly
+            rows[axis] += t[axis, 3]
+        if self.z is not None:
+            self.z[:] = rows[2]
+        if self.grid.resolution != 1.0:
+            rows /= self.grid.resolution
         self.bounds = _floor_rows(
             rows, lambda i: t[:3, :3] @ self.points[:, i] + t[:3, 3])
 
@@ -328,8 +299,8 @@ class PreparedScan:
         ``rows[0]`` holds the deviations."""
         values = _feature_values(voxel_map, self.z, self.spec.kind,
                                  self.rows[0])
-        return FeatureMap._of_points(self.spec.kind, voxel_map.occupied,
-                                     values, voxel_map.bounds)
+        return FeatureMap(kind=self.spec.kind, cells=voxel_map.occupied,
+                          values=values, bounds=voxel_map.bounds)
 
     def histogram(self, transform: np.ndarray) -> JointHistogram:
         """Joint histogram at the rigid ``transform`` (not validated).

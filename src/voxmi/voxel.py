@@ -103,9 +103,9 @@ class FeatureMap:
     (the tight occupied box, for a whole scan), ``cells`` the
     ascending linear (C-order) indices of the occupied cells inside it and
     ``values`` their features.  Every other cell carries the no-feature
-    value.  ``binned`` caches the rasters over the box that
-    :func:`voxmi.mi.build_joint_histogram` makes: per binning spec and
-    weight, each cell's bin times the weight.
+    value.  ``binned`` caches, per binning spec, the raster over the box
+    that :func:`voxmi.mi.build_joint_histogram` makes of scan A: each
+    cell's bin times ``bin_count + 1``.
     """
 
     kind: FeatureKind
@@ -118,26 +118,10 @@ class FeatureMap:
     def __post_init__(self):
         if self.cells.shape != self.values.shape:
             raise ValueError("cells and values must have matching shapes")
-        if self.values.size and (
-            not np.isfinite(self.values).all() or (self.values < 0).any()
-        ):
+        # two reductions: a nan fails either comparison
+        values = self.values
+        if values.size and not (values.min() >= 0 and values.max() < np.inf):
             raise ValueError("features must be finite and >= 0")
-
-    @classmethod
-    def _of_points(cls, kind: FeatureKind, cells: np.ndarray,
-                   values: np.ndarray, bounds: np.ndarray) -> "FeatureMap":
-        """The map of features computed from finite points.  They are
-        counts or means of squares, so only a variance that overflowed can
-        break the constructor's checks, and one finiteness pass is all this
-        makes."""
-        if kind is FeatureKind.VARZ and not np.isfinite(values).all():
-            raise ValueError("features must be finite and >= 0")
-        feat = object.__new__(cls)
-        for name, value in (("kind", kind), ("cells", cells),
-                            ("values", values), ("bounds", bounds),
-                            ("binned", {})):
-            object.__setattr__(feat, name, value)
-        return feat
 
     def __len__(self) -> int:
         return self.cells.shape[0]

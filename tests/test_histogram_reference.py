@@ -41,8 +41,8 @@ NEAR = st.floats(-6.0, 6.0)
 ANGLE = st.floats(-math.pi, math.pi)
 POSES = st.builds(EulerPose, st.one_of(NEAR, st.floats(-1e7, 1e7)), NEAR,
                   st.floats(-2.0, 2.0), ANGLE, ANGLE, ANGLE)
-# powers of two, whose 1 / resolution a prepared move folds into R and t,
-# and two that it divides by
+# 1.0, where a prepared move skips the division by the resolution, and
+# four where it divides
 GRIDS = st.builds(GridSpec, st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]))
 
 

@@ -64,8 +64,8 @@ def whole_box_histogram(feat_a, scan_b, transform, cfg):
 @pytest.mark.parametrize("kind", list(FeatureKind))
 def test_reused_scan_matches_whole_box_binning_in_any_order(kind,
                                                             align_module):
-    """At powers of two, whose 1 / resolution the move folds into R and t,
-    and at 0.75, which it divides by."""
+    """At resolution 1, where the move skips the division, and at 0.5, 2.0
+    and 0.75, where it divides."""
     scan_a, scan_b = synth_scene_pair(SceneSpec(seed=4, n_points=6000,
                                                 n_structures=20))
     rng = np.random.default_rng(40)
@@ -89,30 +89,6 @@ def test_reused_scan_matches_whole_box_binning_in_any_order(kind,
             hist = prepared.histogram(transform)
             np.testing.assert_array_equal(hist.counts, expected.counts)
             assert hist.total == expected.total
-
-
-@pytest.mark.parametrize("resolution", [0.5, 2.0])
-def test_subnormal_moves_floor_as_the_divided_move(resolution, align_module):
-    """Folding 1 / resolution into R and t rounds a subnormal product
-    otherwise, which can put a coordinate near 0 on the other side of it,
-    so a move with a subnormal rotation entry or coordinate divides."""
-    normal = [[0.0, y, 0.0] for y in (-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5)]
-    subnormal = [[0.0, k * 5e-324, 0.0] for k in range(-9, 10)]
-    cfg = AlignmentConfig(grid=GridSpec(resolution))
-    for points, poses in [
-        (normal, [EulerPose(rz=5e-324), EulerPose(rz=-5e-324),
-                  EulerPose(rx=5e-324, rz=1e-320)]),
-        (normal + subnormal, [EulerPose(rz=0.3), EulerPose(rz=1.0),
-                              EulerPose(rz=-0.7)]),
-    ]:
-        scan = PointCloud(np.array(points))
-        prepared = align_module._prepare(scan, scan, cfg)
-        for pose in poses:
-            transform = euler_to_transform(pose)
-            prepared.apply_transform(transform)
-            np.testing.assert_array_equal(
-                prepared.rows.T,
-                voxel_indices(apply_transform(scan, transform), cfg.grid))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in square")
