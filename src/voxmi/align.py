@@ -10,7 +10,9 @@ information.  A Nelder-Mead search over the 6-DOF pose drives the loop.
 from __future__ import annotations
 
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,10 @@ from .optim import OptimResult, SimplexConfig, nelder_mead_maximize
 from .voxel import FeatureKind, GridSpec, compute_feature_map, voxelize
 
 SWEEP_AXES = ("tx", "ty", "tz", "rx", "ry", "rz")
+# Most threads a sweep scores its poses on, the calling thread included.
+# About 60% of a count evaluation holds the GIL, so a third thread adds
+# little, and each thread costs its own copy of scan B's per-point buffers.
+SWEEP_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -177,25 +183,72 @@ def mi_at(scan_a: PointCloud, scan_b: PointCloud, pose: EulerPose,
     return _score(_prepare(scan_a, scan_b, cfg), pose, cfg)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def sweep_axis(scan_a: PointCloud, scan_b: PointCloud, base_pose: EulerPose,
                axis: str, values, cfg: AlignmentConfig | None = None
                ) -> list[tuple[float, float]]:
     """MI along one pose axis, all other parameters held at ``base_pose``.
 
-    Returns (axis value, MI) pairs; poses without overlap score the
-    no-overlap sentinel so the curve stays total.
+    Returns (axis value, MI) pairs in the order of ``values``; poses without
+    overlap score the no-overlap sentinel so the curve stays total.  The
+    poses are scored on up to ``SWEEP_THREADS`` threads, the calling thread
+    and pool workers joined before the call returns, each with its own
+    prepared scan B over one shared feature map of scan A; the curve is bit
+    for bit the serial one, and any other error is the one the serial loop
+    would raise first.  With one usable CPU no thread is started.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     cfg = cfg or AlignmentConfig()
     prepared = _prepare(scan_a, scan_b, cfg)
-    base = base_pose.as_vector()
+    values = [float(v) for v in values]
     idx = SWEEP_AXES.index(axis)
-    out = []
+    poses = []
     for v in values:
-        x = base.copy()
+        x = base_pose.as_vector()
         x[idx] = v
-        mi = mi_objective(prepared.feat_a, prepared, EulerPose.from_vector(x),
-                          cfg.grid, cfg.binning, include_phi=cfg.phi_enabled)
-        out.append((float(v), mi))
-    return out
+        poses.append(EulerPose.from_vector(x))
+
+    def score(scan: PreparedScan, share: range):
+        """MIs of the poses in ``share`` in order, and the error that ended
+        them early, if one did."""
+        mis = []
+        try:
+            for i in share:
+                mis.append(mi_objective(prepared.feat_a, scan, poses[i],
+                                        cfg.grid, cfg.binning,
+                                        include_phi=cfg.phi_enabled))
+        except Exception as exc:  # raised below, if no earlier pose failed
+            return mis, exc
+        return mis, None
+
+    threads = max(1, min(_usable_cpus(), SWEEP_THREADS, len(poses)))
+    # thread k takes every threads-th pose from pose k, so neighbouring
+    # poses, which cost about the same, are spread over the threads
+    shares = [range(k, len(poses), threads) for k in range(threads)]
+    if threads == 1:
+        results = [score(prepared, shares[0])]
+    else:
+        with ThreadPoolExecutor(threads - 1) as pool:
+            futures = [pool.submit(score, PreparedScan(prepared.feat_a,
+                                                       scan_b, cfg.grid,
+                                                       cfg.binning), share)
+                       for share in shares[1:]]
+            results = [score(prepared, shares[0])]
+        results += [future.result() for future in futures]
+    # a thread stops at its first error only, so every pose before the
+    # earliest failing one was scored, as in the serial loop
+    failed = [(k + threads * len(mis), exc)
+              for k, (mis, exc) in enumerate(results) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    curve = [0.0] * len(poses)
+    for k, (mis, _) in enumerate(results):
+        curve[k::threads] = mis
+    return list(zip(values, curve))

@@ -130,9 +130,20 @@ def _build_config(args) -> AlignmentConfig:
         binning=binning, simplex=simplex, phi_enabled=args.phi == "on")
 
 
+def _load_pair(args):
+    """Scans A and B; an empty one is refused, naming its file."""
+    scans = []
+    for which, path in (("A", args.scan_a), ("B", args.scan_b)):
+        scan = load_scan(path, args.format)
+        if len(scan) == 0:
+            raise ValueError(f"{path}: scan {which} is empty; both scans "
+                             "must be non-empty")
+        scans.append(scan)
+    return scans
+
+
 def _cmd_align(args) -> int:
-    scan_a = load_scan(args.scan_a, args.format)
-    scan_b = load_scan(args.scan_b, args.format)
+    scan_a, scan_b = _load_pair(args)
     t0 = _parse_pose_arg(args.init) if args.init else np.eye(4)
     cfg = _build_config(args)
     report = align(scan_a, scan_b, t0, cfg)
@@ -151,8 +162,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scan_a = load_scan(args.scan_a, args.format)
-    scan_b = load_scan(args.scan_b, args.format)
+    scan_a, scan_b = _load_pair(args)
     cfg = _build_config(args)
     base_t = _parse_pose_arg(args.init) if args.init else np.eye(4)
     base_pose = transform_to_euler(base_t)
@@ -179,8 +189,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    scan_a = load_scan(args.scan_a, args.format)
-    scan_b = load_scan(args.scan_b, args.format)
+    scan_a, scan_b = _load_pair(args)
     cfg = _build_config(args)
     t = _parse_pose_arg(args.init) if args.init else np.eye(4)
     feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,

@@ -130,7 +130,7 @@ def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> np.ndarray:
     the other scan's bin gives a cell's pair index.
 
     Made once per spec and cached on the feature map, so scan A is binned
-    once per run.
+    once per run; a :class:`PreparedScan` makes it for its scan A up front.
     """
     raster = feat.binned.get(spec)
     if raster is None:
@@ -236,10 +236,12 @@ class PreparedScan:
     ``points`` is B as a (3, N) view of its own (N, 3) array, not a copy.
     Every evaluation refills the same per-point buffers ``rows``, ``cell``,
     ``z`` and ``slot`` (the last two for VARZ only), so concurrent
-    evaluations each need their own prepared scan.  An evaluation bins B
-    over the overlap region, which lies in A's box, plus a guard shell of
-    at most one cell per side; only A's box is checked against the
-    dense-grid limit, so no pose of B can raise BoxTooLargeError.
+    evaluations each need their own prepared scan.  They may share
+    ``feat_a``: its pair raster is cached here, so no evaluation writes it.
+    An evaluation bins B over the overlap region, which lies in A's box,
+    plus a guard shell of at most one cell per side; only A's box is
+    checked against the dense-grid limit, so no pose of B can raise
+    BoxTooLargeError.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
@@ -250,6 +252,7 @@ class PreparedScan:
         if n == 0:
             raise ValueError("cannot voxelize an empty cloud")
         box_shape(feat_a.bounds)
+        _pair_raster(feat_a, spec)
         self.feat_a, self.grid, self.spec = feat_a, grid, spec
         self.points = cloud_b.points.T
         self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)

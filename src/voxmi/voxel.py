@@ -121,7 +121,10 @@ class FeatureMap:
         # two reductions: a nan fails either comparison
         values = self.values
         if values.size and not (values.min() >= 0 and values.max() < np.inf):
-            raise ValueError("features must be finite and >= 0")
+            k = int(np.flatnonzero(~((values >= 0) & (values < np.inf)))[0])
+            voxel = tuple(int(i) for i in self.voxels()[k])
+            raise ValueError(f"features must be finite and >= 0; voxel "
+                             f"{voxel} has {float(values[k])}")
 
     def __len__(self) -> int:
         return self.cells.shape[0]
@@ -222,12 +225,15 @@ def _feature_values(voxel_map: VoxelIndexMap, z: np.ndarray,
     if kind is FeatureKind.COUNT:
         return counts.astype(np.float64)
     slot = voxel_map.slot
-    means = np.bincount(slot, weights=z, minlength=counts.size) / counts
-    np.take(means, slot, out=dev, mode="clip")
-    np.subtract(z, dev, out=dev)
-    np.square(dev, out=dev)
-    values = np.bincount(slot, weights=dev, minlength=counts.size)
-    values /= counts
+    # a variance past the largest float becomes inf, which FeatureMap
+    # refuses naming the voxel; errstate is context-local, so thread-safe
+    with np.errstate(over="ignore"):
+        means = np.bincount(slot, weights=z, minlength=counts.size) / counts
+        np.take(means, slot, out=dev, mode="clip")
+        np.subtract(z, dev, out=dev)
+        np.square(dev, out=dev)
+        values = np.bincount(slot, weights=dev, minlength=counts.size)
+        values /= counts
     return values
 
 
@@ -238,7 +244,8 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
     VARZ is the population variance (divisor n) of member z-heights, so a
     single-point voxel yields 0 rather than an undefined value.  It takes
     two passes, the means first, each summing a voxel's points in cloud
-    order.  COUNT is the member count.
+    order; a variance past the largest float raises ValueError naming the
+    voxel.  COUNT is the member count.
     """
     if voxel_map.slot.size != len(cloud):
         raise ValueError(

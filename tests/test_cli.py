@@ -192,6 +192,22 @@ class TestHistogram:
         assert err.splitlines()[0] == f"warning: {empty}: empty scan file"
         assert ".py" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["histogram"], ["align"],
+        ["sweep", "--axis", "tx", "--range", "0", "1"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_empty_scan_error_names_the_file_and_the_scan(
+            self, scans, tmp_path, capsys, command, which):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        files = [str(empty), scans["a"]][::1 if which == "A" else -1]
+        code = main([command[0], *files, *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[-1] == (f"error: {empty}: scan {which} is "
+                                        "empty; both scans must be non-empty")
+
     def test_identical_scans_have_no_off_diagonal_mass(self, scans, tmp_path,
                                                        capsys):
         out_csv = tmp_path / "hist.csv"

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -34,6 +37,7 @@ from voxmi import (
     GridSpec,
     OutOfBoundsError,
     PointCloud,
+    SWEEP_AXES,
     SceneSpec,
     SimplexConfig,
     align,
@@ -91,7 +95,6 @@ def test_reused_scan_matches_whole_box_binning_in_any_order(kind,
             assert hist.total == expected.total
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in square")
 def test_overflowing_variance_is_refused(align_module):
     """Two z-heights 1e160 apart in one 1e200 m voxel have a variance past
     the largest float; B's feature map refuses it as a public one does."""
@@ -105,6 +108,23 @@ def test_overflowing_variance_is_refused(align_module):
         prepared.histogram(np.eye(4))
     with pytest.raises(ValueError, match="features must be finite and >= 0"):
         mi_at(scan_a, scan_b, EulerPose(), cfg)
+
+
+def test_overflowing_variance_names_the_voxel_without_a_warning():
+    """The bad voxel is (2, -1, 0), not the first cell of B's box."""
+    scan_a = PointCloud(np.array([[0.0, 0.0, 0.0], [3.5e200, 0.5e200, 0.0]]))
+    scan_b = PointCloud(np.array([[0.0, 0.0, 0.0], [3.5e200, 0.5e200, 0.0],
+                                  [2.5e200, -0.5e200, 0.0],
+                                  [2.5e200, -0.5e200, 1e160]]))
+    cfg = AlignmentConfig(grid=GridSpec(resolution=1e200))
+    message = r"features must be finite and >= 0; voxel \(2, -1, 0\) has inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            compute_feature_map(voxelize(scan_b, cfg.grid), scan_b,
+                                cfg.feature)
+        with pytest.raises(ValueError, match=message):
+            mi_at(scan_a, scan_b, EulerPose(), cfg)
 
 
 @pytest.mark.parametrize("n", [1, 2, 50])
@@ -263,3 +283,127 @@ def test_concurrent_aligns_match_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial * 2
+
+
+def serial_curve(scan_a, scan_b, base, axis, values, cfg, align_module):
+    """A sweep's curve from a plain loop of ``mi_objective``, the reference."""
+    prepared = align_module._prepare(scan_a, scan_b, cfg)
+    curve = []
+    for v in values:
+        x = base.as_vector()
+        x[SWEEP_AXES.index(axis)] = v
+        curve.append((float(v), mi_objective(
+            prepared.feat_a, prepared, EulerPose.from_vector(x), cfg.grid,
+            cfg.binning, include_phi=cfg.phi_enabled)))
+    return curve
+
+
+def hexed(curve):
+    return [(v.hex(), mi.hex()) for v, mi in curve]
+
+
+def record_threads(monkeypatch, align_module) -> set:
+    """Idents of the threads that call ``voxmi.align.mi_objective``."""
+    threads = set()
+    objective = align_module.mi_objective
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(align_module, "mi_objective", recorded)
+    return threads
+
+
+# overlapping poses, out of order, mixed with poses whose boxes miss A's
+# (tx 1e4) and poses off the grid's index range (tx 1e7)
+SWEEP_VALUES = [-3.0, 1e4, -1.5, -0.75, 1e7, 0.0, 0.25, 0.5, 1e4, 1.0, 2.0,
+                3.5, 1e7, -0.25]
+
+
+@pytest.mark.parametrize("kind", list(FeatureKind))
+def test_pooled_sweep_matches_a_serial_loop(kind, monkeypatch, align_module):
+    """On four usable CPUs, whatever this machine has, with threads
+    switching often; the curve stays in the order of the values."""
+    scan_a, scan_b = synth_scene_pair(SceneSpec(seed=6, n_points=6000,
+                                                n_structures=20))
+    cfg = AlignmentConfig(feature=kind)
+    base = EulerPose(ty=0.4, rz=0.03)
+    expected = serial_curve(scan_a, scan_b, base, "tx", SWEEP_VALUES, cfg,
+                            align_module)
+    mis = [mi for _, mi in expected]
+    assert mis.count(NO_OVERLAP_SENTINEL) == 4
+    assert all(mi > 0.0 for mi in mis if mi != NO_OVERLAP_SENTINEL)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    threads = record_threads(monkeypatch, align_module)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to interleave calls
+    try:
+        curves = [sweep_axis(scan_a, scan_b, base, "tx", SWEEP_VALUES, cfg)
+                  for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(threads) == align_module.SWEEP_THREADS
+    for curve in curves:
+        assert hexed(curve) == hexed(expected)
+
+
+@pytest.mark.parametrize("affinity", [True, False],
+                         ids=["one-cpu-affinity", "no-affinity-one-cpu"])
+def test_one_usable_cpu_starts_no_thread(affinity, monkeypatch,
+                                         align_module):
+    scan_a, scan_b = synth_scene_pair(SceneSpec(seed=6, n_points=6000,
+                                                n_structures=20))
+    cfg = AlignmentConfig(feature=FeatureKind.COUNT)
+    expected = serial_curve(scan_a, scan_b, EulerPose(), "rz",
+                            np.linspace(-0.2, 0.2, 9), cfg, align_module)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made on one CPU")
+
+    monkeypatch.setattr(align_module, "ThreadPoolExecutor", no_pool)
+    threads = record_threads(monkeypatch, align_module)
+    curve = sweep_axis(scan_a, scan_b, EulerPose(), "rz",
+                       np.linspace(-0.2, 0.2, 9), cfg)
+    assert threads == {threading.get_ident()}
+    assert hexed(curve) == hexed(expected)
+
+
+@pytest.mark.parametrize("values, voxel", [
+    ([1e210, 1.5e200, 2.5e200, 5e201], "(1, 0, 0)"),
+    ([5e201, 1e210, 2.5e200, 1.5e200], "(2, 0, 0)"),
+], ids=["worker-fails-first", "caller-fails-first"])
+def test_pooled_sweep_raises_the_serial_loops_first_error(values, voxel,
+                                                          monkeypatch,
+                                                          align_module):
+    """B's two points, 1e160 m apart in z, share a 1e200 m voxel whose
+    variance overflows wherever they overlap A's row of four voxels, and
+    the error names that voxel.  tx 1e210 leaves the index range and
+    5e201 misses A's box: both score the sentinel.  With two threads,
+    the caller scores the values at even positions and a worker the odd
+    ones."""
+    scan_a = PointCloud(np.array([[x, 0.0, 0.0]
+                                  for x in (0.0, 1.5e200, 2.5e200, 3.5e200)]))
+    scan_b = PointCloud(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e160]]))
+    cfg = AlignmentConfig(grid=GridSpec(resolution=1e200))
+    with pytest.raises(ValueError) as serial:
+        serial_curve(scan_a, scan_b, EulerPose(), "tx", values, cfg,
+                     align_module)
+    assert f"voxel {voxel} has inf" in str(serial.value)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = record_threads(monkeypatch, align_module)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as pooled:
+        sweep_axis(scan_a, scan_b, EulerPose(), "tx", values, cfg)
+    assert str(pooled.value) == str(serial.value)
+    assert threading.active_count() == before
+    assert len(threads) == 2
