@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,18 +80,10 @@ class AlignmentReport:
     termination: str
 
     def to_dict(self) -> dict:
-        pose = self.estimated_pose
         return {
             "estimated_matrix": [[float(v) for v in row] for row in self.estimated],
-            "estimated_pose": {
-                "tx": pose.tx, "ty": pose.ty, "tz": pose.tz,
-                "rx": pose.rx, "ry": pose.ry, "rz": pose.rz,
-            },
-            "initial_pose": {
-                "tx": self.initial_pose.tx, "ty": self.initial_pose.ty,
-                "tz": self.initial_pose.tz, "rx": self.initial_pose.rx,
-                "ry": self.initial_pose.ry, "rz": self.initial_pose.rz,
-            },
+            "estimated_pose": asdict(self.estimated_pose),
+            "initial_pose": asdict(self.initial_pose),
             "final_mi": self.final_mi,
             "mi_trace": list(self.mi_trace),
             "iterations": self.iterations,

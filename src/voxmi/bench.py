@@ -300,9 +300,12 @@ def run_benchmark(pert: PerturbationSpec, cfg: AlignmentConfig | None = None,
     tuples, cycled across trials) must be given.  Failing trials become
     non-converged rows; the batch never aborts.  Records come back sorted
     by (magnitude class, trial); CSVs are written when ``out_dir`` is set.
+    ``jobs`` (at least 1) trials run at once on threads.
     """
     if (scene is None) == (pairs is None):
         raise ValueError("provide exactly one of scene= or pairs=")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg = cfg or AlignmentConfig()
     tasks = []
     flat = 0

@@ -65,6 +65,14 @@ def _csv_floats(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """An integer of at least 1; argparse names the option it belongs to."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_pose_arg(text: str) -> np.ndarray:
     """A 4x4 transform from either inline numbers or a matrix file."""
     if Path(text).exists():
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=float, nargs=2, required=True,
                    metavar=("MIN", "MAX"),
                    help="sweep bounds (meters, or degrees for rx/ry/rz)")
-    p.add_argument("--steps", type=int, default=81)
+    p.add_argument("--steps", type=_count, default=81)
     p.add_argument("--init", default=None,
                    help="pose holding the non-swept parameters")
     p.add_argument("--out", default=None, help="write value,mi CSV here")
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3,
                    help="trials per magnitude class (default 3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_count, default=1,
                    help="trials to run concurrently on threads (default 1; "
                    "above 1, each trial's wall_s includes thread contention)")
     p.add_argument("--out-dir", default=None,
@@ -356,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "scenes")
     p.add_argument("--poses", default=None,
                    help="pose file matching --kitti-dir scans")
-    p.add_argument("--stride", type=int, default=1,
+    p.add_argument("--stride", type=_count, default=1,
                    help="scan index spacing between pair members")
-    p.add_argument("--max-pairs", type=int, default=5)
+    p.add_argument("--max-pairs", type=_count, default=5)
     p.add_argument("--verbose", action="store_true")
     _add_scene_options(p)
     _add_common_options(p)

@@ -11,12 +11,14 @@ Supported scan formats:
 Pose tracks use the KITTI odometry convention: one line per scan, twelve
 floats forming the row-major top 3x4 of a world-from-sensor transform.
 A single-transform file holds one such record or a full 4x4 matrix
-(sixteen numbers).  Bad records raise FormatError naming the file.
-All writers format floats with ``repr`` so save/load round trips are exact.
+(sixteen numbers).  A bad record raises FormatError naming the file
+and, for line-based formats, the line.  All writers format floats with
+``repr`` so save/load round trips are exact.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -62,8 +64,34 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _float_repr(value: float) -> str:
-    return repr(float(value))
+def _parse_record(fields: list[str], counts: tuple[int, ...], path,
+                  line: int | None = None) -> list[float]:
+    """The values of one text record of ``counts`` finite numbers, or a
+    FormatError naming ``path`` and ``line``."""
+    if len(fields) not in counts:
+        raise FormatError(path, f"expected {' or '.join(map(str, counts))} "
+                          f"fields, got {len(fields)}", line=line)
+    values = []
+    for field in fields:
+        try:
+            value = float(field)
+        except ValueError:
+            raise FormatError(path, f"non-numeric field {field!r}",
+                              line=line) from None
+        if not math.isfinite(value):
+            raise FormatError(path, f"non-finite value {field!r}", line=line)
+        values.append(value)
+    return values
+
+
+def _write_rows(fh, cloud: PointCloud) -> None:
+    """Write one ``x y z [intensity]`` line of ``repr`` floats per point,
+    which loads back bit for bit."""
+    rows = cloud.points
+    if cloud.intensity is not None:
+        rows = np.column_stack((rows, cloud.intensity))
+    for row in rows:
+        fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_kitti_bin(path) -> PointCloud:
@@ -108,18 +136,7 @@ def load_xyz_text(path) -> PointCloud:
             if not fields:
                 continue
             widths = (len(rows[0]),) if rows else (3, 4)
-            if len(fields) not in widths:
-                raise FormatError(
-                    path, f"expected {' or '.join(map(str, widths))} fields, "
-                    f"got {len(fields)}", line=lineno)
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise FormatError(path, f"non-numeric field in {fields!r}",
-                                  line=lineno) from None
-            if not all(np.isfinite(values)):
-                raise FormatError(path, "non-finite value", line=lineno)
-            rows.append(values)
+            rows.append(_parse_record(fields, widths, path, lineno))
     width = len(rows[0]) if rows else 3
     data = np.array(rows, dtype=np.float64).reshape(-1, width)
     return PointCloud(data[:, :3].copy(),
@@ -128,11 +145,7 @@ def load_xyz_text(path) -> PointCloud:
 
 def save_xyz_text(cloud: PointCloud, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        for i in range(len(cloud)):
-            fields = [_float_repr(v) for v in cloud.points[i]]
-            if cloud.intensity is not None:
-                fields.append(_float_repr(cloud.intensity[i]))
-            fh.write(" ".join(fields) + "\n")
+        _write_rows(fh, cloud)
 
 
 def _parse_ply_header(lines: list[str], path):
@@ -189,21 +202,14 @@ def load_ply_ascii(path) -> PointCloud:
         raise FormatError(
             path, f"declared {count} vertices but found {len(data_lines)}",
             line=len(lines) + 1)
-    rows = np.empty((count, len(properties)))
-    for i in range(count):
-        lineno = header_end + 1 + i
-        fields = data_lines[i].split()
-        if len(fields) != len(properties):
-            raise FormatError(
-                path, f"expected {len(properties)} fields, got {len(fields)}",
-                line=lineno)
-        try:
-            rows[i] = [float(f) for f in fields]
-        except ValueError:
-            raise FormatError(path, f"non-numeric field in {fields!r}",
-                              line=lineno) from None
-        if not np.isfinite(rows[i]).all():
-            raise FormatError(path, "non-finite value", line=lineno)
+    rows = np.array([
+        _parse_record(line.split(), (len(properties),), path, lineno)
+        for lineno, line in enumerate(data_lines[:count], header_end + 1)
+    ]).reshape(count, len(properties))
+    for lineno, line in enumerate(data_lines[count:], header_end + count + 1):
+        if line.strip():
+            raise FormatError(path, f"data past the {count} declared "
+                              "vertices", line=lineno)
     cols = {name: rows[:, i] for i, name in enumerate(properties)}
     pts = np.column_stack([cols["x"], cols["y"], cols["z"]])
     return PointCloud(pts, intensity=cols.get("intensity"))
@@ -218,11 +224,7 @@ def save_ply_ascii(cloud: PointCloud, path) -> None:
     header.append("end_header")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(header) + "\n")
-        for i in range(len(cloud)):
-            fields = [_float_repr(v) for v in cloud.points[i]]
-            if cloud.intensity is not None:
-                fields.append(_float_repr(cloud.intensity[i]))
-            fh.write(" ".join(fields) + "\n")
+        _write_rows(fh, cloud)
 
 
 # name: (extensions, loader, saver)
@@ -270,16 +272,7 @@ def _parse_transform(fields: list[str], path, sizes: tuple[int, ...],
     re-orthonormalized via SVD; anything worse, and any other broken
     rigid-transform invariant, is a format error naming ``path``/``line``.
     """
-    if len(fields) not in sizes:
-        raise FormatError(
-            path, f"expected {' or '.join(map(str, sizes))} numbers, got "
-            f"{len(fields)}", line=line)
-    try:
-        values = np.array([float(f) for f in fields])
-    except ValueError:
-        raise FormatError(path, "non-numeric field", line=line) from None
-    if not np.isfinite(values).all():
-        raise FormatError(path, "non-finite value", line=line)
+    values = np.array(_parse_record(fields, sizes, path, line))
     t = np.eye(4)
     t[:values.size // 4] = values.reshape(-1, 4)
     r = t[:3, :3]
@@ -331,7 +324,7 @@ def save_kitti_poses(track, path) -> None:
     matrices = track.matrices if isinstance(track, PoseTrack) else track
     with open(path, "w", newline="\n") as fh:
         for t in matrices:
-            fh.write(" ".join(_float_repr(v) for v in t[:3, :4].ravel())
+            fh.write(" ".join(repr(float(v)) for v in t[:3, :4].ravel())
                      + "\n")
 
 

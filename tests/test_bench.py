@@ -179,6 +179,14 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(pert, scene=SceneSpec(), pairs=[])
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_refused(self, jobs):
+        pert = PerturbationSpec(translation_magnitudes=(1.0,),
+                                trials_per_magnitude=1)
+        scene = SceneSpec(n_points=2000, n_structures=5)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_benchmark(pert, scene=scene, jobs=jobs)
+
     def test_self_align_pairs_recover(self, tmp_path):
         scan = synth_scene(SceneSpec(seed=6, n_points=10_000,
                                      n_structures=20))

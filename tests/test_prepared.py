@@ -340,13 +340,19 @@ def test_pooled_sweep_matches_a_serial_loop(kind, monkeypatch, align_module):
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, to interleave calls
+    # threads are counted per call: a call's worker can get a new ident
+    # while the last call's worker, already joined, is still exiting
+    curves, counts = [], []
     try:
-        curves = [sweep_axis(scan_a, scan_b, base, "tx", SWEEP_VALUES, cfg)
-                  for _ in range(3)]
+        for _ in range(3):
+            threads.clear()
+            curves.append(sweep_axis(scan_a, scan_b, base, "tx",
+                                     SWEEP_VALUES, cfg))
+            counts.append(len(threads))
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-    assert len(threads) == align_module.SWEEP_THREADS
+    assert counts == [align_module.SWEEP_THREADS] * 3
     for curve in curves:
         assert hexed(curve) == hexed(expected)
 
