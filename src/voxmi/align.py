@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .geometry import (
 from .mi import (
     NO_OVERLAP_SENTINEL,
     BinningSpec,
+    JointHistogram,
     MIResult,
     PreparedScan,
     mi_objective,
@@ -102,19 +103,71 @@ class AlignmentReport:
             fh.write("\n")
 
 
-def _prepare(scan_a: PointCloud, scan_b: PointCloud,
-             cfg: AlignmentConfig) -> PreparedScan:
-    if len(scan_a) == 0 or len(scan_b) == 0:
-        raise ValueError("both scans must be non-empty")
-    vox_a = voxelize(scan_a, cfg.grid)
-    feat_a = compute_feature_map(vox_a, scan_a, cfg.feature)
-    return PreparedScan(feat_a, scan_b, cfg.grid, cfg.binning)
+class _Objective(PreparedScan):
+    """Scan B prepared against scan A's feature map, which is made through
+    this module's ``voxelize`` and ``compute_feature_map``: every pose that
+    ``align``, ``sweep_axis``, ``mi_at`` or ``voxmi histogram`` scores."""
 
+    def __init__(self, scan_a: PointCloud, scan_b: PointCloud,
+                 cfg: AlignmentConfig):
+        if len(scan_a) == 0 or len(scan_b) == 0:
+            raise ValueError("both scans must be non-empty")
+        feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,
+                                     cfg.feature)
+        super().__init__(feat_a, scan_b, cfg.grid, cfg.binning)
+        self.scan_b, self.phi = scan_b, cfg.phi_enabled
 
-def _score(prepared: PreparedScan, pose: EulerPose,
-           cfg: AlignmentConfig) -> MIResult:
-    hist = prepared.histogram(euler_to_transform(pose))
-    return mutual_information(hist, include_phi=cfg.phi_enabled)
+    def __call__(self, x: np.ndarray) -> float:
+        """MI at the pose vector ``x``, the optimizer's objective; not run
+        through :meth:`score_all`, whose set-up on every evaluation raised
+        the peak RSS of a run of aligns by about 2 MB."""
+        return mi_objective(self.feat_a, self, EulerPose.from_vector(x),
+                            self.grid, self.spec, include_phi=self.phi)
+
+    def breakdown(self, transform: np.ndarray
+                  ) -> tuple[JointHistogram, MIResult]:
+        """Joint histogram and MI at ``transform``; raises where
+        :meth:`score_all` scores the no-overlap sentinel."""
+        hist = self.histogram(transform)
+        return hist, mutual_information(hist, include_phi=self.phi)
+
+    def score_all(self, poses: list[EulerPose]) -> list[float]:
+        """``mi_objective`` of each pose, in order, scored on up to
+        ``SWEEP_THREADS`` threads joined before the call returns, each with
+        its own prepared scan B.  The scores, and the first error in pose
+        order, are the serial loop's.  One usable CPU, or one pose, starts
+        no thread."""
+        threads = max(1, min(_usable_cpus(), SWEEP_THREADS, len(poses)))
+        slots = [None] * len(poses)
+
+        def score(scan: PreparedScan, first: int) -> None:
+            # thread k scores poses k, k + threads, ...: neighbouring
+            # poses, which cost about the same, go to different threads
+            for i in range(first, len(poses), threads):
+                try:
+                    slots[i] = mi_objective(self.feat_a, scan, poses[i],
+                                            self.grid, self.spec,
+                                            include_phi=self.phi)
+                except Exception as exc:
+                    # a thread stops at its first error only, so every pose
+                    # before the earliest failing one is scored
+                    slots[i] = exc
+                    return
+
+        if threads == 1:
+            score(self, 0)
+        else:
+            with ThreadPoolExecutor(threads - 1) as pool:
+                workers = pool.map(score, [
+                    PreparedScan(self.feat_a, self.scan_b, self.grid,
+                                 self.spec) for _ in range(1, threads)],
+                    range(1, threads))
+                score(self, 0)
+                list(workers)
+        for slot in slots:
+            if isinstance(slot, Exception):
+                raise slot
+        return slots
 
 
 def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
@@ -127,14 +180,8 @@ def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
     """
     cfg = cfg or AlignmentConfig()
     t0 = validate_transform(t0)
-    prepared = _prepare(scan_a, scan_b, cfg)
+    objective = _Objective(scan_a, scan_b, cfg)
     initial_pose = transform_to_euler(t0)
-
-    def objective(x: np.ndarray) -> float:
-        return mi_objective(prepared.feat_a, prepared,
-                            EulerPose.from_vector(x), cfg.grid, cfg.binning,
-                            include_phi=cfg.phi_enabled)
-
     start = time.perf_counter()
     result: OptimResult = nelder_mead_maximize(
         objective, initial_pose.as_vector(), cfg.simplex
@@ -144,7 +191,7 @@ def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
     if result.best_value <= NO_OVERLAP_SENTINEL:
         # the initial pose scored the sentinel too, so this raises
         try:
-            _score(prepared, initial_pose, cfg)
+            objective.breakdown(euler_to_transform(initial_pose))
         except (OutOfBoundsError, EmptyOverlapError) as exc:
             raise NoOverlapError("no candidate pose gave a usable overlap; "
                                  f"at the initial pose: {exc}") from exc
@@ -172,7 +219,8 @@ def mi_at(scan_a: PointCloud, scan_b: PointCloud, pose: EulerPose,
     is occupied in both scans.
     """
     cfg = cfg or AlignmentConfig()
-    return _score(_prepare(scan_a, scan_b, cfg), pose, cfg)
+    return _Objective(scan_a, scan_b, cfg).breakdown(
+        euler_to_transform(pose))[1]
 
 
 def _usable_cpus() -> int:
@@ -189,58 +237,12 @@ def sweep_axis(scan_a: PointCloud, scan_b: PointCloud, base_pose: EulerPose,
 
     Returns (axis value, MI) pairs in the order of ``values``; poses without
     overlap score the no-overlap sentinel so the curve stays total.  The
-    poses are scored on up to ``SWEEP_THREADS`` threads, the calling thread
-    and pool workers joined before the call returns, each with its own
-    prepared scan B over one shared feature map of scan A; the curve is bit
-    for bit the serial one, and any other error is the one the serial loop
-    would raise first.  With one usable CPU no thread is started.
+    poses are scored together, as :meth:`_Objective.score_all` describes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     cfg = cfg or AlignmentConfig()
-    prepared = _prepare(scan_a, scan_b, cfg)
+    objective = _Objective(scan_a, scan_b, cfg)
     values = [float(v) for v in values]
-    idx = SWEEP_AXES.index(axis)
-    poses = []
-    for v in values:
-        x = base_pose.as_vector()
-        x[idx] = v
-        poses.append(EulerPose.from_vector(x))
-
-    def score(scan: PreparedScan, share: range):
-        """MIs of the poses in ``share`` in order, and the error that ended
-        them early, if one did."""
-        mis = []
-        try:
-            for i in share:
-                mis.append(mi_objective(prepared.feat_a, scan, poses[i],
-                                        cfg.grid, cfg.binning,
-                                        include_phi=cfg.phi_enabled))
-        except Exception as exc:  # raised below, if no earlier pose failed
-            return mis, exc
-        return mis, None
-
-    threads = max(1, min(_usable_cpus(), SWEEP_THREADS, len(poses)))
-    # thread k takes every threads-th pose from pose k, so neighbouring
-    # poses, which cost about the same, are spread over the threads
-    shares = [range(k, len(poses), threads) for k in range(threads)]
-    if threads == 1:
-        results = [score(prepared, shares[0])]
-    else:
-        with ThreadPoolExecutor(threads - 1) as pool:
-            futures = [pool.submit(score, PreparedScan(prepared.feat_a,
-                                                       scan_b, cfg.grid,
-                                                       cfg.binning), share)
-                       for share in shares[1:]]
-            results = [score(prepared, shares[0])]
-        results += [future.result() for future in futures]
-    # a thread stops at its first error only, so every pose before the
-    # earliest failing one was scored, as in the serial loop
-    failed = [(k + threads * len(mis), exc)
-              for k, (mis, exc) in enumerate(results) if exc is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    curve = [0.0] * len(poses)
-    for k, (mis, _) in enumerate(results):
-        curve[k::threads] = mis
-    return list(zip(values, curve))
+    poses = [replace(base_pose, **{axis: v}) for v in values]
+    return list(zip(values, objective.score_all(poses)))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import SWEEP_AXES, AlignmentConfig, align, sweep_axis
+from .align import SWEEP_AXES, AlignmentConfig, _Objective, align, sweep_axis
 from .bench import (
     PerturbationSpec,
     SceneSpec,
@@ -39,8 +39,6 @@ from .mi import (
     NO_OVERLAP_SENTINEL,
     BinningSpec,
     dump_histogram_csv,
-    joint_histogram_at,
-    mutual_information,
     occupied_correlation,
 )
 from .optim import DEFAULT_INITIAL_STEPS, SimplexConfig
@@ -52,7 +50,7 @@ from .scan_io import (
     relative_ground_truth,
     save_scan,
 )
-from .voxel import FeatureKind, GridSpec, compute_feature_map, voxelize
+from .voxel import FeatureKind, GridSpec
 
 _ROTATION_AXES = ("rx", "ry", "rz")
 
@@ -116,7 +114,7 @@ def _add_simplex_options(sub: argparse.ArgumentParser) -> None:
                      default=DEFAULT_INITIAL_STEPS, metavar="S1,...,S6",
                      help="initial simplex steps for tx,ty,tz [m] and "
                      "roll,pitch,yaw [rad] (default 8,8,1,0.1,0.1,0.8)")
-    sub.add_argument("--max-iterations", type=int, default=300)
+    sub.add_argument("--max-iterations", type=_count, default=300)
     sub.add_argument("--f-tol", type=float, default=1e-5,
                      help="stop when the simplex MI spread drops below this")
     sub.add_argument("--x-tol", type=float, default=1e-3,
@@ -200,10 +198,7 @@ def _cmd_histogram(args) -> int:
     scan_a, scan_b = _load_pair(args)
     cfg = _build_config(args)
     t = _parse_pose_arg(args.init) if args.init else np.eye(4)
-    feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,
-                                 cfg.feature)
-    hist = joint_histogram_at(feat_a, scan_b, t, cfg.grid, cfg.binning)
-    result = mutual_information(hist, include_phi=cfg.phi_enabled)
+    hist, result = _Objective(scan_a, scan_b, cfg).breakdown(t)
     corr = occupied_correlation(hist.counts)
     print(f"voxels in overlap region: {hist.total}")
     print(f"H(A) = {result.h_x:.6f}  H(B) = {result.h_y:.6f}  "
@@ -289,7 +284,7 @@ def _cmd_synth(args) -> int:
 
 
 def _add_scene_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--points", type=int, default=50_000)
+    sub.add_argument("--points", type=_count, default=50_000)
     sub.add_argument("--structures", type=int, default=40)
     sub.add_argument("--noise", type=float, default=0.03,
                      help="surface noise sigma in meters (default 0.03)")
@@ -351,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="D1,D2,...",
                    help="initial yaw offsets in degrees, cycled across "
                    "translation classes (default none)")
-    p.add_argument("--trials", type=int, default=3,
+    p.add_argument("--trials", type=_count, default=3,
                    help="trials per magnitude class (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_count, default=1,

@@ -345,13 +345,13 @@ def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud | PreparedScan,
 
     Scan A's feature map is precomputed once per run and passed in.
     ``cloud_b`` is scan B, or a :class:`PreparedScan` made from ``feat_a``,
-    ``grid`` and ``spec`` (ValueError otherwise), which callers scoring
-    many poses pass to reuse its buffers.  Returns the worst-possible
-    sentinel, so the optimizer retreats, for candidate poses that push
-    points off the representable grid (OutOfBoundsError) or leave no usable
-    overlap (EmptyOverlapError: the occupied boxes miss, or phi is off and
-    no voxel is occupied in both scans).  Any other error, such as a kind
-    mismatch or an empty scan B, propagates.
+    ``grid`` and ``spec`` (ValueError otherwise), whose buffers the
+    evaluation reuses; ``voxmi.align`` passes one per thread.  Returns the
+    worst-possible sentinel, so the optimizer retreats, for candidate poses
+    that push points off the representable grid (OutOfBoundsError) or leave
+    no usable overlap (EmptyOverlapError: the occupied boxes miss, or phi is
+    off and no voxel is occupied in both scans).  Any other error, such as a
+    kind mismatch or an empty scan B, propagates.
     """
     if not isinstance(cloud_b, PreparedScan):
         cloud_b = PreparedScan(feat_a, cloud_b, grid, spec)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,16 +130,16 @@ def load_xyz_text(path) -> PointCloud:
     """Read whitespace-separated ``x y z [intensity]`` rows, all of one
     width."""
     path = Path(path)
-    rows: list[list[float]] = []
+    values, width = array("d"), 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split("#", 1)[0].split()
             if not fields:
                 continue
-            widths = (len(rows[0]),) if rows else (3, 4)
-            rows.append(_parse_record(fields, widths, path, lineno))
-    width = len(rows[0]) if rows else 3
-    data = np.array(rows, dtype=np.float64).reshape(-1, width)
+            values.extend(_parse_record(fields, (width,) if width else (3, 4),
+                                        path, lineno))
+            width = len(fields)
+    data = np.frombuffer(values).reshape(-1, width or 3)
     return PointCloud(data[:, :3].copy(),
                       intensity=data[:, 3].copy() if width == 4 else None)
 
@@ -202,10 +203,11 @@ def load_ply_ascii(path) -> PointCloud:
         raise FormatError(
             path, f"declared {count} vertices but found {len(data_lines)}",
             line=len(lines) + 1)
-    rows = np.array([
-        _parse_record(line.split(), (len(properties),), path, lineno)
-        for lineno, line in enumerate(data_lines[:count], header_end + 1)
-    ]).reshape(count, len(properties))
+    values = array("d")
+    for lineno, line in enumerate(data_lines[:count], header_end + 1):
+        values.extend(_parse_record(line.split(), (len(properties),), path,
+                                    lineno))
+    rows = np.frombuffer(values).reshape(count, len(properties))
     for lineno, line in enumerate(data_lines[count:], header_end + count + 1):
         if line.strip():
             raise FormatError(path, f"data past the {count} declared "

@@ -24,10 +24,12 @@ from voxmi import (
     inverse,
     mi_at,
     rotation_error,
+    save_scan,
     sweep_axis,
     synth_scene_pair,
     translation_error,
 )
+from voxmi.cli import main
 from voxmi.errors import EmptyOverlapError
 
 ACC_SIMPLEX = SimplexConfig(initial_steps=(4.0, 4.0, 0.5, 0.05, 0.05, 0.2),
@@ -223,6 +225,43 @@ class TestSweepAxis:
                 == Counter(float(v) for v in values))
         mi_at(scan_a, scan_b, TRUTH_POSE)
         assert len(calls) == len(values)
+
+    def test_one_module_objective_call_per_align_evaluation(
+            self, scene, monkeypatch, align_module, tmp_path):
+        """``evals_per_s`` counts ``voxmi.align.mi_objective`` calls: an
+        ``align`` makes one per pose the optimizer asks for, in order, and
+        one more for ``final_mi``; ``mi_at`` and ``voxmi histogram`` make
+        none."""
+        calls, asked, results = [], [], []
+        objective = align_module.mi_objective
+        optimizer = align_module.nelder_mead_maximize
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return objective(*args, **kwargs)
+
+        def optimize(f, x0, cfg):
+            def recorded(x):
+                asked.append(EulerPose.from_vector(x))
+                return f(x)
+            results.append(optimizer(recorded, x0, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(align_module, "mi_objective", counted)
+        monkeypatch.setattr(align_module, "nelder_mead_maximize", optimize)
+        scan_a, scan_b = scene
+        cfg = AlignmentConfig(simplex=SimplexConfig(max_iterations=30))
+        report = align(scan_a, scan_b, np.eye(4), cfg)
+        assert len(calls) == results[0].n_evaluations + 1
+        assert calls == [*asked, report.estimated_pose]
+
+        calls.clear()
+        mi_at(scan_a, scan_b, TRUTH_POSE, cfg)
+        paths = [str(tmp_path / name) for name in ("a.bin", "b.bin")]
+        save_scan(scan_a, paths[0])
+        save_scan(scan_b, paths[1])
+        assert main(["histogram", *paths]) == 0
+        assert calls == []
 
     def test_unknown_axis_rejected(self, scene):
         scan_a, _ = scene

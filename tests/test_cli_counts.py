@@ -6,14 +6,19 @@ import pytest
 
 from voxmi.cli import build_parser, main
 
+ALIGN = ["align", "a.bin", "b.bin"]
 SWEEP = ["sweep", "a.bin", "b.bin", "--axis", "tx", "--range", "-1", "1"]
 BENCHMARK = ["benchmark", "--kitti-dir", "scans"]
+SYNTH = ["synth", "--out", "scan.xyz"]
 
 COUNT_OPTIONS = [
     (SWEEP, "--steps"),
     (BENCHMARK, "--stride"),
     (BENCHMARK, "--max-pairs"),
     (BENCHMARK, "--jobs"),
+    (BENCHMARK, "--trials"),
+    (ALIGN, "--max-iterations"),
+    (SYNTH, "--points"),
 ]
 
 

@@ -1,9 +1,10 @@
 """The three callers of the evaluation pipeline agree on every finite pose.
 
 ``mi_objective`` (the optimizer's score), ``mi_at`` (the library's checked
-evaluation) and ``voxmi histogram`` (the CLI) all run
-``joint_histogram_at``; they differ only in how they report a pose with no
-usable overlap.
+evaluation) and ``voxmi histogram`` (the CLI) all bin scan B on a
+``PreparedScan``: ``mi_objective`` on its own, the other two through
+``voxmi.align``'s one evaluation owner.  They differ only in how they
+report a pose with no usable overlap.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ def test_reused_scan_matches_whole_box_binning_in_any_order(kind,
     poses += [EulerPose(tx=1e4), EulerPose(ty=-1e7)]
     for resolution in (1.0, 0.5, 2.0, 0.75):
         cfg = AlignmentConfig(feature=kind, grid=GridSpec(resolution))
-        prepared = align_module._prepare(scan_a, scan_b, cfg)
+        prepared = align_module._Objective(scan_a, scan_b, cfg)
         for k in [*rng.permutation(len(poses)), *rng.permutation(len(poses))]:
             transform = euler_to_transform(poses[k])
             try:
@@ -103,7 +103,7 @@ def test_overflowing_variance_is_refused(align_module):
     cfg = AlignmentConfig(grid=GridSpec(resolution=1e200))
     with pytest.raises(ValueError, match="features must be finite and >= 0"):
         compute_feature_map(voxelize(scan_b, cfg.grid), scan_b, cfg.feature)
-    prepared = align_module._prepare(scan_a, scan_b, cfg)
+    prepared = align_module._Objective(scan_a, scan_b, cfg)
     with pytest.raises(ValueError, match="features must be finite and >= 0"):
         prepared.histogram(np.eye(4))
     with pytest.raises(ValueError, match="features must be finite and >= 0"):
@@ -195,7 +195,7 @@ def test_scan_a_at_the_limit_still_scores(monkeypatch):
 def test_prepared_scan_of_other_settings_is_refused(align_module):
     scan_a, scan_b = spread_pair()
     cfg = AlignmentConfig()
-    prepared = align_module._prepare(scan_a, scan_b, cfg)
+    prepared = align_module._Objective(scan_a, scan_b, cfg)
     feat_a = prepared.feat_a
     assert mi_objective(feat_a, prepared, EulerPose(), GridSpec(),
                         BinningSpec(kind=cfg.feature)) > NO_OVERLAP_SENTINEL
@@ -243,7 +243,7 @@ def test_one_evaluation_allocates_less_than_one_point_array(kind,
     scan_a, scan_b = synth_scene_pair(SceneSpec(seed=11))
     assert len(scan_b) == 50_000
     cfg = AlignmentConfig(feature=kind)
-    prepared = align_module._prepare(scan_a, scan_b, cfg)
+    prepared = align_module._Objective(scan_a, scan_b, cfg)
 
     def evaluate(pose):
         return mi_objective(prepared.feat_a, prepared, pose, cfg.grid,
@@ -287,7 +287,7 @@ def test_concurrent_aligns_match_serial_runs():
 
 def serial_curve(scan_a, scan_b, base, axis, values, cfg, align_module):
     """A sweep's curve from a plain loop of ``mi_objective``, the reference."""
-    prepared = align_module._prepare(scan_a, scan_b, cfg)
+    prepared = align_module._Objective(scan_a, scan_b, cfg)
     curve = []
     for v in values:
         x = base.as_vector()
