@@ -129,52 +129,64 @@ class RotationError:
 
 
 def _scene_surfaces(spec: SceneSpec, rng: np.random.Generator):
-    """Rectangles (origin, edge u, edge v, unit normal, area) of the scene."""
+    """The scene's rectangles as (S, 3) origins, edges u and v and unit
+    normals, and (S,) areas: the ground, then five per structure."""
     e = spec.extent
-    surfaces = [(
-        np.array([-e / 2, -e / 2, 0.0]),
-        np.array([e, 0.0, 0.0]),
-        np.array([0.0, e, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-        e * e,
-    )]
-    for _ in range(spec.n_structures):
-        cx, cy = rng.uniform(-0.4 * e, 0.4 * e, size=2)
-        hw, hd = rng.uniform(0.75, 3.0, size=2)
-        h = rng.uniform(1.0, 3.5)
-        lo = np.array([cx - hw, cy - hd, 0.0])
-        hi = np.array([cx + hw, cy + hd, 0.0])
-        up = np.array([0.0, 0.0, h])
-        ex = np.array([2 * hw, 0.0, 0.0])
-        ey = np.array([0.0, 2 * hd, 0.0])
-        surfaces += [
-            (lo, ey, up, np.array([-1.0, 0.0, 0.0]), 2 * hd * h),
-            (np.array([cx + hw, cy - hd, 0.0]), ey, up,
-             np.array([1.0, 0.0, 0.0]), 2 * hd * h),
-            (lo, ex, up, np.array([0.0, -1.0, 0.0]), 2 * hw * h),
-            (np.array([cx - hw, cy + hd, 0.0]), ex, up,
-             np.array([0.0, 1.0, 0.0]), 2 * hw * h),
-            (lo + up, ex, ey, np.array([0.0, 0.0, 1.0]), 4 * hw * hd),
-        ]
-    return surfaces
+    n = spec.n_structures
+    # one call, drawn in each structure's order: centre, half sizes, height
+    cx, cy, hw, hd, h = rng.uniform([-0.4 * e, -0.4 * e, 0.75, 0.75, 1.0],
+                                    [0.4 * e, 0.4 * e, 3.0, 3.0, 3.5],
+                                    size=(n, 5)).T
+    zero = np.zeros(n)
+    lo = [cx - hw, cy - hd, zero]
+    up, ex, ey = [zero, zero, h], [2 * hw, zero, zero], [zero, 2 * hd, zero]
+    # (5, 3, n): the walls facing -x, +x, -y and +y, then the roof
+    boxes = (
+        np.array([lo, [cx + hw, cy - hd, zero], lo, [cx - hw, cy + hd, zero],
+                  [cx - hw, cy - hd, h]]),
+        np.array([ey, ey, ex, ex, ex]),
+        np.array([up, up, up, up, ey]),
+        np.broadcast_to(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                  [0.0, -1.0, 0.0], [0.0, 1.0, 0.0],
+                                  [0.0, 0.0, 1.0]])[:, :, None], (5, 3, n)),
+    )
+    area = np.array([2 * hd * h, 2 * hd * h, 2 * hw * h, 2 * hw * h,
+                     4 * hw * hd])
+    ground = ([-e / 2, -e / 2, 0.0], [e, 0.0, 0.0], [0.0, e, 0.0],
+              [0.0, 0.0, 1.0])
+    return (*(np.concatenate([[g], box.transpose(2, 0, 1).reshape(-1, 3)])
+              for g, box in zip(ground, boxes)),
+            np.concatenate([[e * e], area.T.ravel()]))
 
 
 def _sample_surfaces(surfaces, n_points: int, noise_sigma: float,
                      rng: np.random.Generator) -> PointCloud:
-    areas = np.array([s[4] for s in surfaces])
-    picks = rng.choice(len(surfaces), size=n_points, p=areas / areas.sum())
-    per_surface = np.bincount(picks, minlength=len(surfaces))
-    parts = []
-    for (origin, u, v, normal, _), m in zip(surfaces, per_surface):
-        if m == 0:
-            continue
-        a = rng.random(m)[:, None]
-        b = rng.random(m)[:, None]
-        # clip keeps every sample within 4 sigma of its surface
-        noise = np.clip(rng.normal(0.0, noise_sigma, size=m),
-                        -4 * noise_sigma, 4 * noise_sigma)[:, None]
-        parts.append(origin + a * u + b * v + noise * normal)
-    return PointCloud(np.concatenate(parts))
+    origin, u, v, normal, area = surfaces
+    counts = np.bincount(rng.choice(len(area), size=n_points,
+                                    p=area / area.sum()),
+                         minlength=len(area))
+    a, b, noise = np.empty((3, n_points))
+    start = 0
+    # each surface draws a, b and noise in turn
+    for m in counts[counts > 0].tolist():
+        stop = start + m
+        rng.random(out=a[start:stop])
+        rng.random(out=b[start:stop])
+        noise[start:stop] = rng.normal(0.0, noise_sigma, size=m)
+        start = stop
+    # clip keeps every sample within 4 sigma of its surface
+    np.clip(noise, -4 * noise_sigma, 4 * noise_sigma, out=noise)
+    points = np.empty((n_points, 3))
+    # origin + a * u + b * v + noise * normal, one axis and one repeated
+    # column at a time
+    for k, col in enumerate(points.T):
+        col[:] = np.repeat(origin[:, k], counts)
+        for w, edge in ((a, u), (b, v), (noise, normal)):
+            term = np.repeat(edge[:, k], counts)
+            term *= w
+            col += term
+            del term  # before the next repeat
+    return PointCloud(points)
 
 
 def synth_scene(spec: SceneSpec) -> PointCloud:

@@ -23,6 +23,7 @@ import sys
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -149,17 +150,26 @@ def save_xyz_text(cloud: PointCloud, path) -> None:
         _write_rows(fh, cloud)
 
 
-def _parse_ply_header(lines: list[str], path):
-    """Return (vertex_count, property names, first data line index)."""
-    if not lines or lines[0].strip() != "ply":
+def _numbered_lines(fh):
+    """(number, line) for each line of ``fh``, numbered from 1 and split
+    where ``str.splitlines`` splits the whole text."""
+    return enumerate((part for line in fh for part in line.splitlines()),
+                     start=1)
+
+
+def _parse_ply_header(lines, path):
+    """Read numbered ``lines`` up to ``end_header``; return (vertex_count,
+    property names, number of the ``end_header`` line)."""
+    if next(lines, (1, ""))[1].strip() != "ply":
         raise FormatError(path, "missing 'ply' magic line", line=1)
-    if len(lines) < 2 or lines[1].split() != ["format", "ascii", "1.0"]:
+    if next(lines, (2, ""))[1].split() != ["format", "ascii", "1.0"]:
         raise FormatError(path, "only 'format ascii 1.0' is supported",
                           line=2)
     vertex_count = None
     properties: list[str] = []
     in_vertex_element = False
-    for lineno, line in enumerate(lines[2:], start=3):
+    lineno = 2
+    for lineno, line in lines:
         fields = line.split()
         if not fields or fields[0] == "comment":
             continue
@@ -191,27 +201,33 @@ def _parse_ply_header(lines: list[str], path):
                         line=lineno)
             return vertex_count, properties, lineno
     raise FormatError(path, "header never terminated with end_header",
-                      line=len(lines) + 1)
+                      line=lineno + 1)
 
 
 def load_ply_ascii(path) -> PointCloud:
     path = Path(path)
-    lines = path.read_text().splitlines()
-    count, properties, header_end = _parse_ply_header(lines, path)
-    data_lines = lines[header_end:]
-    if len(data_lines) < count:
-        raise FormatError(
-            path, f"declared {count} vertices but found {len(data_lines)}",
-            line=len(lines) + 1)
-    values = array("d")
-    for lineno, line in enumerate(data_lines[:count], header_end + 1):
-        values.extend(_parse_record(line.split(), (len(properties),), path,
-                                    lineno))
+    with open(path) as fh:
+        lines = _numbered_lines(fh)
+        count, properties, header_end = _parse_ply_header(lines, path)
+        values, error, last = array("d"), None, header_end
+        for last, line in islice(lines, count):
+            if error is None:
+                try:
+                    values.extend(_parse_record(line.split(),
+                                                (len(properties),), path,
+                                                last))
+                except FormatError as exc:
+                    error = exc  # a short file is reported first
+        if last - header_end < count:
+            raise FormatError(path, f"declared {count} vertices but found "
+                              f"{last - header_end}", line=last + 1)
+        if error is not None:
+            raise error
+        for lineno, line in lines:
+            if line.strip():
+                raise FormatError(path, f"data past the {count} declared "
+                                  "vertices", line=lineno)
     rows = np.frombuffer(values).reshape(count, len(properties))
-    for lineno, line in enumerate(data_lines[count:], header_end + count + 1):
-        if line.strip():
-            raise FormatError(path, f"data past the {count} declared "
-                              "vertices", line=lineno)
     cols = {name: rows[:, i] for i, name in enumerate(properties)}
     pts = np.column_stack([cols["x"], cols["y"], cols["z"]])
     return PointCloud(pts, intensity=cols.get("intensity"))

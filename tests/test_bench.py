@@ -6,6 +6,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxmi import (
     TRIAL_CSV_HEADER,
@@ -76,6 +78,77 @@ class TestSceneSynthesis:
             SceneSpec(n_points=0)
         with pytest.raises(ValueError):
             SceneSpec(noise_sigma=-0.1)
+
+
+def reference_surfaces(spec: SceneSpec, rng: np.random.Generator):
+    """The scene's rectangles (origin, u, v, normal, area), one structure
+    at a time."""
+    e = spec.extent
+    surfaces = [(np.array([-e / 2, -e / 2, 0.0]), np.array([e, 0.0, 0.0]),
+                 np.array([0.0, e, 0.0]), np.array([0.0, 0.0, 1.0]), e * e)]
+    for _ in range(spec.n_structures):
+        cx, cy = rng.uniform(-0.4 * e, 0.4 * e, size=2)
+        hw, hd = rng.uniform(0.75, 3.0, size=2)
+        h = rng.uniform(1.0, 3.5)
+        lo = np.array([cx - hw, cy - hd, 0.0])
+        up = np.array([0.0, 0.0, h])
+        ex = np.array([2 * hw, 0.0, 0.0])
+        ey = np.array([0.0, 2 * hd, 0.0])
+        surfaces += [
+            (lo, ey, up, np.array([-1.0, 0.0, 0.0]), 2 * hd * h),
+            (np.array([cx + hw, cy - hd, 0.0]), ey, up,
+             np.array([1.0, 0.0, 0.0]), 2 * hd * h),
+            (lo, ex, up, np.array([0.0, -1.0, 0.0]), 2 * hw * h),
+            (np.array([cx - hw, cy + hd, 0.0]), ex, up,
+             np.array([0.0, 1.0, 0.0]), 2 * hw * h),
+            (lo + up, ex, ey, np.array([0.0, 0.0, 1.0]), 4 * hw * hd),
+        ]
+    return surfaces
+
+
+def reference_sample(surfaces, spec: SceneSpec,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The scene's points, drawn and placed one surface at a time."""
+    areas = np.array([s[4] for s in surfaces])
+    picks = rng.choice(len(surfaces), size=spec.n_points,
+                       p=areas / areas.sum())
+    parts = []
+    for (origin, u, v, normal, _), m in zip(
+            surfaces, np.bincount(picks, minlength=len(surfaces))):
+        if m == 0:
+            continue
+        a = rng.random(m)[:, None]
+        b = rng.random(m)[:, None]
+        sigma = spec.noise_sigma
+        noise = np.clip(rng.normal(0.0, sigma, size=m),
+                        -4 * sigma, 4 * sigma)[:, None]
+        parts.append(origin + a * u + b * v + noise * normal)
+    return np.concatenate(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       # up to 61 surfaces, so the short budgets leave some without points
+       n_points=st.one_of(st.integers(1, 60), st.integers(1, 3000)),
+       n_structures=st.integers(0, 12),
+       noise_sigma=st.sampled_from([0.0, 0.03, 0.2]),
+       extent=st.floats(5.0, 200.0))
+def test_scenes_match_the_per_surface_reference_bit_for_bit(
+        seed, n_points, n_structures, noise_sigma, extent):
+    spec = SceneSpec(seed=seed, extent=extent, n_points=n_points,
+                     n_structures=n_structures, noise_sigma=noise_sigma)
+    layout, sample_a, sample_b = np.random.SeedSequence(seed).spawn(3)
+    surfaces = reference_surfaces(spec, np.random.default_rng(layout))
+    want_a, want_b = (reference_sample(surfaces, spec,
+                                       np.random.default_rng(s))
+                      for s in (sample_a, sample_b))
+    clouds = (synth_scene(spec).points,) + tuple(
+        c.points for c in synth_scene_pair(spec))
+    for got, want in zip(clouds, (want_a, want_a, want_b)):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == (n_points, 3)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPerturbPose:

@@ -1,12 +1,13 @@
 """The prepared evaluator: scan B laid out once, binned over the overlap box.
 
-``align``, ``sweep_axis`` and ``mi_at`` score every pose on one
-``PreparedScan`` whose buffers each evaluation reuses.  These tests pin what
-that promises: the histogram of binning B's whole moved box at every pose,
-in any order; the box limit held on scan A's own box only, so no pose can
-end a run with BoxTooLargeError; a prepared scan refused for other
-settings; no per-point allocation per evaluation; and buffers that belong
-to one call.
+Every caller (``align``, ``sweep_axis``, ``mi_at`` and ``voxmi histogram``)
+scores its poses through ``voxmi.align._Objective``, a ``PreparedScan``
+whose buffers each evaluation reuses; a pooled sweep gives each thread its
+own prepared scan.  These tests pin what that promises: the histogram of
+binning B's whole moved box at every pose, in any order; the box limit
+held on scan A's own box only, so no pose can end a run with
+BoxTooLargeError; a prepared scan refused for other settings; no per-point
+allocation per evaluation; and buffers that belong to one call.
 """
 
 from __future__ import annotations
