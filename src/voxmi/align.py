@@ -39,8 +39,8 @@ from .voxel import FeatureKind, GridSpec, compute_feature_map, voxelize
 
 SWEEP_AXES = ("tx", "ty", "tz", "rx", "ry", "rz")
 # Most threads a sweep scores its poses on, the calling thread included.
-# About 60% of a count evaluation holds the GIL, so a third thread adds
-# little, and each thread costs its own copy of scan B's per-point buffers.
+# On 2 cores, two run an 81-pose 50k-point count sweep x1.24 as fast as one:
+# 2/1.24 - 1 = 61% holds the GIL; a third adds little but a copy of B's rows.
 SWEEP_THREADS = 2
 
 

@@ -82,7 +82,7 @@ class EulerPose:
 
     def __post_init__(self):
         vals = (self.tx, self.ty, self.tz, self.rx, self.ry, self.rz)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"pose has non-finite component: {vals}")
 
     def as_vector(self) -> np.ndarray:
@@ -93,7 +93,7 @@ class EulerPose:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (6,):
             raise ValueError(f"pose vector must have 6 entries, got {v.shape}")
-        return cls(*(float(x) for x in v))
+        return cls(*v.tolist())
 
     def normalized(self) -> "EulerPose":
         """Return the same pose with angles wrapped into (-pi, pi]."""
@@ -124,14 +124,11 @@ def euler_to_transform(pose: EulerPose) -> np.ndarray:
     sr, cr = math.sin(pose.rx), math.cos(pose.rx)
     sp, cp = math.sin(pose.ry), math.cos(pose.ry)
     sy, cy = math.sin(pose.rz), math.cos(pose.rz)
-    t = np.eye(4)
-    t[:3, :3] = [
-        [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-        [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-        [-sp, cp * sr, cp * cr],
-    ]
-    t[:3, 3] = [pose.tx, pose.ty, pose.tz]
-    return t
+    return np.array([
+        [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr, pose.tx],
+        [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr, pose.ty],
+        [-sp, cp * sr, cp * cr, pose.tz],
+        [0.0, 0.0, 0.0, 1.0]], dtype=np.float64)
 
 
 def transform_to_euler(t: np.ndarray) -> EulerPose:

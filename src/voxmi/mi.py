@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import gt, sub
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .voxel import (
     GridSpec,
     VoxelIndexMap,
     _bin_cells,
-    _feature_values,
+    _corners,
+    _feature_map,
     _floor_rows,
     box_shape,
     compute_overlap,
@@ -82,10 +84,10 @@ def bin_features(values: np.ndarray, spec: BinningSpec) -> np.ndarray:
 
 def _bins(values: np.ndarray, spec: BinningSpec, dtype) -> np.ndarray:
     """:func:`bin_features` of values known finite and >= 0, as ``dtype``."""
-    b = spec.bin_count
-    with np.errstate(over="ignore"):  # a huge value scales to inf: top bin
-        scaled = np.divide(values, spec.upper_clamp, dtype=np.float64)
-        scaled *= b
+    b, clamp = spec.bin_count, spec.upper_clamp
+    scaled = np.minimum(values, clamp)  # bins alike, and none overflows
+    scaled /= clamp
+    scaled *= b
     bins = np.minimum(scaled, b - 1, out=scaled).astype(dtype)
     bins += 1
     return bins
@@ -114,14 +116,13 @@ class MIResult:
     h_xy: float
 
 
-def _raster(feat: FeatureMap, spec: BinningSpec) -> np.ndarray:
-    """Bins of ``feat`` over its box, 0 on unoccupied cells."""
-    # voxelize checks a scan's box against the dense-grid limit, and
-    # PreparedScan scan A's box, which bounds an evaluation's boxes
-    raster = np.zeros(feat.bounds[1] - feat.bounds[0] + 1,
-                      dtype=np.min_scalar_type(spec.bin_count))
+def _raster(feat: FeatureMap, spec: BinningSpec, dtype) -> np.ndarray:
+    """Bins of ``feat`` over its box as ``dtype``, 0 on unoccupied cells."""
+    # no limit check: voxelize and PreparedScan check the scans' own boxes
+    raster = np.zeros([hi - lo + 1 for lo, hi in zip(*_corners(feat.bounds))],
+                      dtype=dtype)
     # a feature map holds finite values >= 0 only, so they bin unchecked
-    raster.reshape(-1)[feat.cells] = _bins(feat.values, spec, raster.dtype)
+    raster.ravel()[feat.cells] = _bins(feat.values, spec, dtype)
     return raster
 
 
@@ -135,30 +136,29 @@ def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> np.ndarray:
     raster = feat.binned.get(spec)
     if raster is None:
         width = spec.bin_count + 1
-        raster = feat.binned[spec] = np.multiply(
-            _raster(feat, spec), width,
-            dtype=np.min_scalar_type(spec.bin_count * width))
+        raster = feat.binned[spec] = _raster(
+            feat, spec, np.min_scalar_type(spec.bin_count * width))
+        raster *= width
     return raster
 
 
-def _region_view(raster: np.ndarray, bounds: np.ndarray, region: np.ndarray,
+def _region_view(raster: np.ndarray, bounds, region: tuple,
                  shape) -> np.ndarray:
-    """``raster`` over the box ``bounds`` on every cell of the region; 0
-    outside the box.  A region inside the box gets a view, not a copy."""
-    (r0, r1), (b0, b1) = region.tolist(), bounds.tolist()
-    lo = [max(r, b) for r, b in zip(r0, b0)]
-    hi = [max(min(r, b) + 1, m) for r, b, m in zip(r1, b1, lo)]
-    inner = raster[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, b0))]
-    if inner.shape == shape:
-        return inner
+    """``raster`` over the box ``bounds`` on every cell of the (tuple) region;
+    0 outside the box.  A region inside the box gets a view, not a copy."""
+    (r0, r1), (b0, b1) = region, _corners(bounds)
+    lo = [r if r > b else b for r, b in zip(r0, b0)]
+    hi = [max((r if r < b else b) + 1, m) for r, b, m in zip(r1, b1, lo)]
+    view = raster[tuple(map(slice, map(sub, lo, b0), map(sub, hi, b0)))]
+    if view.shape == shape:
+        return view
     out = np.zeros(shape, dtype=raster.dtype)
-    out[tuple(slice(a - m, b - m) for a, b, m in zip(lo, hi, r0))] = inner
+    out[tuple(map(slice, map(sub, lo, r0), map(sub, hi, r0)))] = view
     return out
 
 
 def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
-                          region: np.ndarray,
-                          spec: BinningSpec) -> JointHistogram:
+                          region, spec: BinningSpec) -> JointHistogram:
     """Count co-located feature-bin pairs over every voxel of the region,
     a (2, 3) [mins; maxs] index box.
 
@@ -168,17 +168,18 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
     """
     if feat_a.kind is not spec.kind or feat_b.kind is not spec.kind:
         raise ValueError("feature maps and binning spec must share one kind")
-    region = np.asarray(region, dtype=np.int64)
-    if (region[0] > region[1]).any():
+    region = _corners(region)
+    if any(map(gt, *region)):
         raise EmptyOverlapError("overlap region is empty")
     shape = box_shape(region)
     width = spec.bin_count + 1
-    # a cell's pair index is A's bin times the width plus B's bin
+    # pair index: A's bin * width + B's bin, in A's raster dtype (no cast)
+    pair_a = _pair_raster(feat_a, spec)
     pairs = np.add(
-        _region_view(_pair_raster(feat_a, spec), feat_a.bounds, region, shape),
-        _region_view(_raster(feat_b, spec), feat_b.bounds, region, shape),
-        dtype=np.intp)
-    counts = np.bincount(pairs.reshape(-1), minlength=width * width)
+        _region_view(pair_a, feat_a.bounds, region, shape),
+        _region_view(_raster(feat_b, spec, pair_a.dtype), feat_b.bounds,
+                     region, shape))
+    counts = np.bincount(pairs.ravel(), minlength=width * width)
     return JointHistogram(counts=counts.reshape(width, width),
                           total=pairs.size, spec=spec)
 
@@ -191,15 +192,24 @@ def entropy(counts) -> float:
     total = arr.sum()
     if not total > 0:
         raise ValueError("entropy of an all-zero distribution is undefined")
-    return _entropy(arr, total)
+    return _entropies(total, arr)[0]
 
 
-def _entropy(counts: np.ndarray, total) -> float:
-    """:func:`entropy` of counts known non-negative with sum ``total`` > 0."""
+def _entropies(total, *parts: np.ndarray) -> list[float]:
+    """:func:`entropy` of each of ``parts``, counts >= 0 summing to ``total``
+    > 0.  Their ``p * log(p)`` terms come from one run of numpy calls, each
+    as its own would; summed sorted, transposes give the same entropies."""
+    counts = np.concatenate(parts, axis=None)
     p = counts[counts > 0] / total
-    # summing in sorted order makes the result independent of cell order,
-    # so transposed histograms give bit-identical entropies
-    return float(-np.sort(p * np.log(p)).sum())
+    terms = np.log(p)
+    terms *= p
+    spans, start = [], 0
+    for part in parts:
+        span = terms[start:start + np.count_nonzero(part)]
+        span.sort()
+        spans.append(span)
+        start += span.size
+    return [-float(np.add.reduce(span)) for span in spans]
 
 
 def mutual_information(hist: JointHistogram,
@@ -212,18 +222,17 @@ def mutual_information(hist: JointHistogram,
     when no voxel is occupied in both scans.
     """
     m = hist.counts if include_phi else hist.counts[1:, 1:]
-    if m.size and m.min() < 0:
+    if m.size and np.minimum.reduce(m, axis=None) < 0:
         raise ValueError("counts must be non-negative")
     # the marginals and the joint share this total
-    total = m.sum()
+    total = np.add.reduce(m, axis=None)
     if not total > 0:
         raise EmptyOverlapError(
             "overlap region is empty" if include_phi else
             "no voxel is occupied in both scans, so MI without the "
             "no-feature bin is undefined")
-    h_x = _entropy(m.sum(axis=1), total)
-    h_y = _entropy(m.sum(axis=0), total)
-    h_xy = _entropy(m, total)
+    h_x, h_y, h_xy = _entropies(total, np.add.reduce(m, axis=1),
+                                np.add.reduce(m, axis=0), m)
     mi = h_x + h_y - h_xy
     if -1e-12 <= mi < 0.0:
         mi = 0.0
@@ -235,13 +244,12 @@ class PreparedScan:
 
     ``points`` is B as a (3, N) view of its own (N, 3) array, not a copy.
     Every evaluation refills the same per-point buffers ``rows``, ``cell``,
-    ``z`` and ``slot`` (the last two for VARZ only), so concurrent
-    evaluations each need their own prepared scan.  They may share
-    ``feat_a``: its pair raster is cached here, so no evaluation writes it.
-    An evaluation bins B over the overlap region, which lies in A's box,
-    plus a guard shell of at most one cell per side; only A's box is
-    checked against the dense-grid limit, so no pose of B can raise
-    BoxTooLargeError.
+    ``z`` and ``slot`` (the last two for VARZ only), so concurrent evaluations
+    each need their own prepared scan.  They may share ``feat_a``: its pair
+    raster is cached here, so no evaluation writes it.  An evaluation bins B
+    over the overlap region, which lies in A's box, plus a guard shell of at
+    most one cell per side; only A's box is checked against the dense-grid
+    limit, so no pose of B can raise BoxTooLargeError.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
@@ -256,6 +264,7 @@ class PreparedScan:
         self.feat_a, self.grid, self.spec = feat_a, grid, spec
         self.points = cloud_b.points.T
         self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
+        self.row = tuple(self.rows)  # its rows as views, made once
         self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
                              if spec.kind is FeatureKind.VARZ else (None, None))
 
@@ -265,53 +274,46 @@ class PreparedScan:
     def apply_transform(self, t: np.ndarray) -> None:
         """Move B by the rigid transform ``t`` (not validated) and floor it
         onto the grid: ``R @ p``, ``+ t``, ``/ resolution``, a division
-        skipped at resolution 1; ``bounds`` becomes moved B's (2, 3)
-        index box."""
+        skipped at resolution 1; ``bounds`` becomes moved B's index box."""
         rows = self.rows
         # a GEMM on the transposed view, bit for bit the product that
         # ``geometry.apply_transform`` makes, with no copy of the scan
         np.matmul(t[:3, :3], self.points, out=rows)
-        for axis in range(3):
-            rows[axis] += t[axis, 3]
+        rows += t[:3, 3:]
         if self.z is not None:
-            self.z[:] = rows[2]
+            np.copyto(self.z, self.row[2])
         if self.grid.resolution != 1.0:
             rows /= self.grid.resolution
         self.bounds = _floor_rows(
             rows, lambda i: t[:3, :3] @ self.points[:, i] + t[:3, 3])
 
-    def voxelize(self, region: np.ndarray) -> VoxelIndexMap:
-        """Bin moved B over the (2, 3) index box ``region`` and a guard
-        shell one cell wide on the sides B passes it.  Points outside the
-        region are clamped into the shell, which no histogram reads, so a
-        region voxel holds the same points, in the same order, as in B's
-        own box."""
-        below = self.bounds[0] < region[0]
-        above = self.bounds[1] > region[1]
-        box = np.array((region[0] - below, region[1] + above))
-        (lo, hi), rows = box.tolist(), self.rows
-        for axis in range(3):
-            if below[axis]:
-                np.maximum(rows[axis], lo[axis], out=rows[axis])
-            if above[axis]:
-                np.minimum(rows[axis], hi[axis], out=rows[axis])
-        return _bin_cells(rows, box, self.cell, self.slot)
+    def voxelize(self, region) -> VoxelIndexMap:
+        """Bin moved B over the index box ``region`` and a guard shell one
+        cell wide on the sides B passes it.  Points outside the region are
+        clamped into the shell, which no histogram reads, so a region voxel
+        holds the same points, in the same order, as in B's own box."""
+        (r0, r1), (b0, b1) = _corners(region), self.bounds
+        lo = [r - (b < r) for r, b in zip(r0, b0)]
+        hi = [r + (b > r) for r, b in zip(r1, b1)]
+        for x, low, r, high, s in zip(self.row, lo, r0, hi, r1):
+            if low < r:
+                np.maximum(x, low, out=x)
+            if high > s:
+                np.minimum(x, high, out=x)
+        return _bin_cells(self.row, (lo, hi), self.cell, self.slot)
 
     def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
         """Features of the voxels of the last :meth:`voxelize`; its spent
         ``rows[0]`` holds the deviations."""
-        values = _feature_values(voxel_map, self.z, self.spec.kind,
-                                 self.rows[0])
-        return FeatureMap(kind=self.spec.kind, cells=voxel_map.occupied,
-                          values=values, bounds=voxel_map.bounds)
+        return _feature_map(voxel_map, self.z, self.spec.kind, self.row[0])
 
     def histogram(self, transform: np.ndarray) -> JointHistogram:
         """Joint histogram at the rigid ``transform`` (not validated).
         Raises OutOfBoundsError when moved points leave the grid's index
         range and EmptyOverlapError when the boxes miss."""
         apply_transform(self, transform)
-        region = compute_overlap(self.feat_a.bounds, self.bounds)
-        if (region[0] > region[1]).any():
+        region = _corners(compute_overlap(self.feat_a.bounds, self.bounds))
+        if any(map(gt, *region)):
             raise EmptyOverlapError("scans do not overlap at this pose")
         feat_b = compute_feature_map(self, voxelize(self, region))
         return build_joint_histogram(self.feat_a, feat_b, region, self.spec)
@@ -355,8 +357,8 @@ def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud | PreparedScan,
     """
     if not isinstance(cloud_b, PreparedScan):
         cloud_b = PreparedScan(feat_a, cloud_b, grid, spec)
-    elif (cloud_b.feat_a is not feat_a or cloud_b.spec != spec
-          or cloud_b.grid != grid):
+    elif (cloud_b.feat_a is not feat_a  # a tuple compares identity first
+          or (cloud_b.spec, cloud_b.grid) != (spec, grid)):
         raise ValueError("the prepared scan was made from another feature "
                          "map, grid or binning")
     try:

@@ -150,13 +150,6 @@ def save_xyz_text(cloud: PointCloud, path) -> None:
         _write_rows(fh, cloud)
 
 
-def _numbered_lines(fh):
-    """(number, line) for each line of ``fh``, numbered from 1 and split
-    where ``str.splitlines`` splits the whole text."""
-    return enumerate((part for line in fh for part in line.splitlines()),
-                     start=1)
-
-
 def _parse_ply_header(lines, path):
     """Read numbered ``lines`` up to ``end_header``; return (vertex_count,
     property names, number of the ``end_header`` line)."""
@@ -207,7 +200,8 @@ def _parse_ply_header(lines, path):
 def load_ply_ascii(path) -> PointCloud:
     path = Path(path)
     with open(path) as fh:
-        lines = _numbered_lines(fh)
+        # numbered as xyz rows are: a form feed or NEL is space within a row
+        lines = enumerate(fh, start=1)
         count, properties, header_end = _parse_ply_header(lines, path)
         values, error, last = array("d"), None, header_end
         for last, line in islice(lines, count):

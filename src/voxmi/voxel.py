@@ -2,11 +2,11 @@
 
 A scan is dropped onto a shared cubic grid anchored at the frame origin;
 each occupied voxel gets one scalar feature (z-height variance or point
-count).  An index box is always a (2, 3) int64 [mins; maxs] array of
-inclusive voxel index ranges.  A point's voxel is a linear (C-order,
-x-major) cell index inside a box of cells: the scan's occupied box, the
-tight integer box around its voxels, or for a scan being scored
-(:class:`voxmi.mi.PreparedScan`) its overlap with the other scan.
+count).  An index box is a (2, 3) [mins; maxs] of inclusive voxel index
+ranges: an int64 array in a public result, a (mins, maxs) tuple of ints
+inside an evaluation.  A point's voxel is a linear (C-order, x-major) cell
+index inside a box of cells: the scan's occupied box, or for a scan being
+scored (:class:`voxmi.mi.PreparedScan`) its overlap with the other scan.
 One ``np.bincount`` over the box finds the occupied cells; per-voxel sums
 are then ``np.bincount`` over each point's slot among those cells, in point
 order.  A cell with no points carries the no-feature value.  A box of more
@@ -59,13 +59,23 @@ class GridSpec:
             raise ValueError(f"grid resolution must be > 0, got {self.resolution}")
 
 
+def _corners(box) -> tuple:
+    """An index box as a (mins, maxs) tuple of ints; a tuple is one."""
+    if type(box) is not tuple:
+        box = np.asarray(box, dtype=np.int64)
+        if box.shape != (2, 3):
+            raise ValueError("bounds must be (2, 3) [mins; maxs] arrays")
+        box = tuple(box.tolist())
+    return box
+
+
 def box_shape(bounds) -> tuple[int, int, int]:
     """Cells per axis of an inclusive (2, 3) [mins; maxs] index box.
 
     Raises BoxTooLargeError, naming the extents, when the box has more than
     MAX_BOX_CELLS cells.
     """
-    nx, ny, nz = (int(hi) - int(lo) + 1 for lo, hi in zip(*bounds))
+    nx, ny, nz = [hi - lo + 1 for lo, hi in zip(*_corners(bounds))]
     if nx * ny * nz > MAX_BOX_CELLS:
         raise BoxTooLargeError(
             f"voxel box of {nx} x {ny} x {nz} = {nx * ny * nz} cells exceeds "
@@ -78,12 +88,11 @@ def box_shape(bounds) -> tuple[int, int, int]:
 class VoxelIndexMap:
     """Points of one cloud assigned to the occupied cells of a box.
 
-    ``bounds`` is the integer box, shaped (2, 3) as [mins; maxs]: the tight
-    box over occupied voxel indices, or for a scan being scored an overlap
-    region with its guard shell.  ``occupied`` holds the ascending linear
-    (C-order) indices of the cells with at least one point, ``counts``
-    their point counts and ``slot`` each point's position in ``occupied``
-    (None when not needed).
+    ``bounds`` is the integer [mins; maxs] box: the tight box over occupied
+    voxel indices, or for a scan being scored an overlap region with its
+    guard shell.  ``occupied`` holds the ascending linear (C-order) indices
+    of the cells with at least one point, ``counts`` their point counts and
+    ``slot`` each point's position in ``occupied`` (None when not needed).
     """
 
     slot: np.ndarray | None
@@ -99,7 +108,7 @@ class VoxelIndexMap:
 class FeatureMap:
     """Per-voxel scalar features over the occupied cells of a box.
 
-    ``bounds`` is a (2, 3) [mins; maxs] box holding every occupied cell
+    ``bounds`` is a [mins; maxs] box holding every occupied cell
     (the tight occupied box, for a whole scan), ``cells`` the
     ascending linear (C-order) indices of the occupied cells inside it and
     ``values`` their features.  Every other cell carries the no-feature
@@ -131,8 +140,8 @@ class FeatureMap:
 
     def voxels(self) -> np.ndarray:
         """(n, 3) voxel indices of the occupied cells, in ``cells`` order."""
-        shape = tuple(self.bounds[1] - self.bounds[0] + 1)
-        return np.stack(np.unravel_index(self.cells, shape), axis=1) + self.bounds[0]
+        lo, hi = np.array(_corners(self.bounds))
+        return np.stack(np.unravel_index(self.cells, hi - lo + 1), axis=1) + lo
 
     def value_for(self, ijk) -> float | None:
         """Feature of one voxel, or None for an unoccupied (no-feature) voxel."""
@@ -143,40 +152,39 @@ class FeatureMap:
                 for ijk, v in zip(self.voxels(), self.values)}
 
 
-def _floor_rows(rows: np.ndarray, point) -> np.ndarray:
-    """Floor (3, N) grid coordinates in place and return their (2, 3)
-    integer bounds.  Raises OutOfBoundsError naming the first point,
+def _floor_rows(rows: np.ndarray, point) -> tuple[list[int], list[int]]:
+    """Floor (3, N) grid coordinates in place and return their integer
+    (mins, maxs).  Raises OutOfBoundsError naming the first point,
     ``point(i)`` in metres, whose index leaves [INDEX_MIN, INDEX_MAX]; only
     the bounds are checked unless one does."""
     np.floor(rows, out=rows)
-    lo, hi = rows.min(axis=1), rows.max(axis=1)
-    if (lo < INDEX_MIN).any() or (hi > INDEX_MAX).any():
+    lo = np.minimum.reduce(rows, axis=1).tolist()
+    hi = np.maximum.reduce(rows, axis=1).tolist()
+    if min(lo) < INDEX_MIN or max(hi) > INDEX_MAX:
         ijk = rows.T.astype(np.int64)
-        bad = (ijk < INDEX_MIN) | (ijk > INDEX_MAX)
-        i = int(np.nonzero(bad.any(axis=1))[0][0])
+        i = int(np.flatnonzero((ijk < INDEX_MIN) | (ijk > INDEX_MAX))[0]) // 3
         raise OutOfBoundsError(
             f"point {i} at {point(i)} maps to voxel index "
             f"{ijk[i]} outside [{INDEX_MIN}, {INDEX_MAX}]"
         )
-    return np.array((lo, hi), dtype=np.int64)
+    return [int(v) for v in lo], [int(v) for v in hi]
 
 
-def _bin_cells(rows: np.ndarray, box: np.ndarray, cell: np.ndarray,
+def _bin_cells(rows, box, cell: np.ndarray,
                slot: np.ndarray | None) -> VoxelIndexMap:
-    """Count floored (3, N) ``rows``, all inside ``box``, per cell of it.
+    """Count floored (3, N) ``rows`` (or its 3 rows), in ``box``, per cell.
 
     The cell index is summed in place in ``rows``, which it uses up;
     ``cell`` and ``slot`` (None: no slots) are filled in place.
     """
-    nx, ny, nz = (int(n) for n in box[1] - box[0] + 1)
+    (x0, y0, z0), (x1, y1, z1) = _corners(box)
+    nx, ny, nz = x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1
     # every term is an integer below 2**44, so the float arithmetic is exact
-    rows[0] *= ny * nz
-    rows[1] *= nz
-    rows[0] += rows[1]
-    rows[0] += rows[2]
-    lo = box[0]
-    np.subtract(rows[0], (lo[0] * ny + lo[1]) * nz + lo[2], out=cell,
-                casting="unsafe")
+    np.multiply(rows[0], ny * nz, out=rows[0])
+    np.multiply(rows[1], nz, out=rows[1])
+    np.add(rows[0], rows[1], out=rows[0])
+    np.add(rows[0], rows[2], out=rows[0])
+    np.subtract(rows[0], (x0 * ny + y0) * nz + z0, out=cell, casting="unsafe")
     per_cell = np.bincount(cell, minlength=nx * ny * nz)
     occupied = np.flatnonzero(per_cell > 0)
     counts = per_cell[occupied]
@@ -188,9 +196,9 @@ def _bin_cells(rows: np.ndarray, box: np.ndarray, cell: np.ndarray,
                          bounds=box)
 
 
-def _floored(cloud: PointCloud, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _floored(cloud: PointCloud, grid: GridSpec) -> tuple[np.ndarray, tuple]:
     """Floored grid coordinates as (3, N) floats, one contiguous row per
-    axis, and their (2, 3) integer bounds."""
+    axis, and their integer (mins, maxs)."""
     rows = np.empty((3, len(cloud)))
     np.divide(cloud.points.T, grid.resolution, out=rows)
     return rows, _floor_rows(rows, lambda i: cloud.points[i])
@@ -215,26 +223,31 @@ def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
         raise ValueError("cannot voxelize an empty cloud")
     rows, bounds = _floored(cloud, grid)
     box_shape(bounds)  # refuses a box past the dense-grid limit
-    return _bin_cells(rows, bounds, np.empty(n, dtype=np.intp),
-                      np.empty(n, dtype=np.intp))
+    return _bin_cells(rows, np.array(bounds, dtype=np.int64),
+                      np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp))
 
 
-def _feature_values(voxel_map: VoxelIndexMap, z: np.ndarray,
-                    kind: FeatureKind, dev: np.ndarray) -> np.ndarray:
-    counts = voxel_map.counts
+def _feature_map(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,
+                 dev: np.ndarray) -> FeatureMap:
+    """Feature map of the points at heights ``z`` (``dev``: scratch as long),
+    run through the constructor's check only where it can fail: overflow."""
+    counts, slot = voxel_map.counts, voxel_map.slot
     if kind is FeatureKind.COUNT:
-        return counts.astype(np.float64)
-    slot = voxel_map.slot
-    # a variance past the largest float becomes inf, which FeatureMap
-    # refuses naming the voxel; errstate is context-local, so thread-safe
-    with np.errstate(over="ignore"):
-        means = np.bincount(slot, weights=z, minlength=counts.size) / counts
-        np.take(means, slot, out=dev, mode="clip")
-        np.subtract(z, dev, out=dev)
-        np.square(dev, out=dev)
-        values = np.bincount(slot, weights=dev, minlength=counts.size)
-        values /= counts
-    return values
+        values = counts.astype(np.float64)
+    else:
+        with np.errstate(over="ignore"):  # context-local, so thread-safe
+            means = np.bincount(slot, weights=z, minlength=counts.size) / counts
+            np.take(means, slot, out=dev, mode="clip")
+            np.subtract(z, dev, out=dev)
+            np.square(dev, out=dev)
+            values = np.bincount(slot, weights=dev, minlength=counts.size)
+            values /= counts
+    feat = object.__new__(FeatureMap)
+    feat.__dict__.update(kind=kind, cells=voxel_map.occupied, values=values,
+                         bounds=voxel_map.bounds, binned={})
+    if kind is FeatureKind.VARZ and not np.maximum.reduce(values) < np.inf:
+        feat.__post_init__()  # refuses it, naming the voxel
+    return feat
 
 
 def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
@@ -251,22 +264,16 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
         raise ValueError(
             f"voxel map covers {voxel_map.slot.size} points, cloud has {len(cloud)}"
         )
-    values = _feature_values(voxel_map, cloud.points[:, 2], kind,
-                             np.empty(len(cloud)))
-    return FeatureMap(kind=kind, cells=voxel_map.occupied, values=values,
-                      bounds=voxel_map.bounds)
+    return _feature_map(voxel_map, cloud.points[:, 2], kind,
+                        np.empty(len(cloud)))
 
 
-def compute_overlap(bounds_a: np.ndarray, bounds_b: np.ndarray) -> np.ndarray:
+def compute_overlap(bounds_a, bounds_b) -> np.ndarray:
     """Intersect two (2, 3) [mins; maxs] index boxes: per-axis max of minima,
     min of maxima.  The box is empty when any min exceeds its max."""
-    bounds_a = np.asarray(bounds_a, dtype=np.int64)
-    bounds_b = np.asarray(bounds_b, dtype=np.int64)
-    if bounds_a.shape != (2, 3) or bounds_b.shape != (2, 3):
-        raise ValueError("bounds must be (2, 3) [mins; maxs] arrays")
-    box = np.maximum(bounds_a, bounds_b)
-    np.minimum(bounds_a[1], bounds_b[1], out=box[1])
-    return box
+    (lo_a, hi_a), (lo_b, hi_b) = _corners(bounds_a), _corners(bounds_b)
+    return np.array((list(map(max, lo_a, lo_b)), list(map(min, hi_a, hi_b))),
+                    dtype=np.int64)
 
 
 def overlap_voxel_count(box) -> int:

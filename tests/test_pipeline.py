@@ -13,7 +13,10 @@ import contextlib
 import importlib
 import io
 import math
+import os
 import tempfile
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -138,3 +141,33 @@ def test_one_call_per_stage_per_evaluation(monkeypatch):
                          cfg.grid, cfg.binning)
     assert score > NO_OVERLAP_SENTINEL
     assert calls == dict.fromkeys(STAGES, 1)
+
+
+def test_one_call_per_stage_per_pose_on_the_paths_that_are_timed(
+        monkeypatch, align_module):
+    """``_Objective.__call__``, which ``align`` hands the optimizer, and
+    ``_Objective.score_all`` on two threads, which ``sweep_axis`` runs,
+    call each stage global once per pose, on whichever thread scores it."""
+    mi_module = importlib.import_module("voxmi.mi")
+    calls = []  # (stage, thread); a list append is atomic across threads
+    for name in STAGES:
+        def counted(*args, _name=name, _real=getattr(mi_module, name),
+                    **kwargs):
+            calls.append((_name, threading.get_ident()))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mi_module, name, counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    scan_a, scan_b = scene(5, 300)
+    objective = align_module._Objective(scan_a, scan_b, AlignmentConfig())
+    poses = [EulerPose(tx=0.1 * k, ty=-0.05 * k, rz=0.01 * k)
+             for k in range(6)]
+    scores = [objective(pose.as_vector()) for pose in poses]
+    assert all(score > NO_OVERLAP_SENTINEL for score in scores)
+    assert Counter(name for name, _ in calls) == dict.fromkeys(STAGES, 6)
+    assert {thread for _, thread in calls} == {threading.get_ident()}
+
+    calls.clear()
+    assert objective.score_all(poses) == scores
+    assert Counter(name for name, _ in calls) == dict.fromkeys(STAGES, 6)
+    assert len({thread for _, thread in calls}) == 2

@@ -50,6 +50,7 @@ from voxmi import (
     inverse,
     mi_at,
     mi_objective,
+    mutual_information,
     sweep_axis,
     synth_scene_pair,
     voxel_indices,
@@ -94,6 +95,38 @@ def test_reused_scan_matches_whole_box_binning_in_any_order(kind,
             hist = prepared.histogram(transform)
             np.testing.assert_array_equal(hist.counts, expected.counts)
             assert hist.total == expected.total
+
+
+@pytest.mark.parametrize("phi", [True, False], ids=["phi-on", "phi-off"])
+@pytest.mark.parametrize("kind", list(FeatureKind))
+def test_scores_are_the_mi_of_whole_box_binning(kind, phi, align_module):
+    """Bit for bit, at the poses and resolutions of the test above: what
+    ``_Objective`` scores, one pose at a time and pooled, is
+    ``mutual_information`` of B's whole moved box; a pose whose boxes miss,
+    that leaves the index range, or (phi off) with no voxel occupied in
+    both scans scores the sentinel."""
+    scan_a, scan_b = synth_scene_pair(SceneSpec(seed=4, n_points=6000,
+                                                n_structures=20))
+    rng = np.random.default_rng(40)
+    poses = [EulerPose(*rng.uniform(-25, 25, 2), rng.uniform(-4, 4),
+                       *rng.uniform(-0.4, 0.4, 3)) for _ in range(40)]
+    poses += [EulerPose(tx=1e4), EulerPose(ty=-1e7)]
+    for resolution in (1.0, 0.5, 2.0, 0.75):
+        cfg = AlignmentConfig(feature=kind, grid=GridSpec(resolution),
+                              phi_enabled=phi)
+        objective = align_module._Objective(scan_a, scan_b, cfg)
+        expected = []
+        for pose in poses:
+            try:
+                hist = whole_box_histogram(objective.feat_a, scan_b,
+                                           euler_to_transform(pose), cfg)
+                expected.append(mutual_information(hist, phi).mi.hex())
+            except (EmptyOverlapError, OutOfBoundsError):
+                expected.append(NO_OVERLAP_SENTINEL.hex())
+        assert expected[-2:] == [NO_OVERLAP_SENTINEL.hex()] * 2
+        assert [objective(pose.as_vector()).hex()
+                for pose in poses] == expected
+        assert [mi.hex() for mi in objective.score_all(poses)] == expected
 
 
 def test_overflowing_variance_is_refused(align_module):
