@@ -104,9 +104,9 @@ class AlignmentReport:
 
 
 class _Objective(PreparedScan):
-    """Scan B prepared against scan A's feature map, which is made through
-    this module's ``voxelize`` and ``compute_feature_map``: every pose that
-    ``align``, ``sweep_axis``, ``mi_at`` or ``voxmi histogram`` scores."""
+    """Scan B prepared against scan A's feature map, made by this module's
+    ``voxelize`` and ``compute_feature_map``: :meth:`score_all` scores every
+    pose of ``align`` and ``sweep_axis``, :meth:`breakdown` the rest."""
 
     def __init__(self, scan_a: PointCloud, scan_b: PointCloud,
                  cfg: AlignmentConfig):
@@ -118,11 +118,9 @@ class _Objective(PreparedScan):
         self.scan_b, self.phi = scan_b, cfg.phi_enabled
 
     def __call__(self, x: np.ndarray) -> float:
-        """MI at the pose vector ``x``, the optimizer's objective; not run
-        through :meth:`score_all`, whose set-up on every evaluation raised
-        the peak RSS of a run of aligns by about 2 MB."""
-        return mi_objective(self.feat_a, self, EulerPose.from_vector(x),
-                            self.grid, self.spec, include_phi=self.phi)
+        """MI at the pose vector ``x``, the optimizer's objective, scored
+        by :meth:`score_all` on the calling thread."""
+        return self.score_all([EulerPose.from_vector(x)])[0]
 
     def breakdown(self, transform: np.ndarray
                   ) -> tuple[JointHistogram, MIResult]:
@@ -132,11 +130,11 @@ class _Objective(PreparedScan):
         return hist, mutual_information(hist, include_phi=self.phi)
 
     def score_all(self, poses: list[EulerPose]) -> list[float]:
-        """``mi_objective`` of each pose, in order, scored on up to
-        ``SWEEP_THREADS`` threads joined before the call returns, each with
-        its own prepared scan B.  The scores, and the first error in pose
-        order, are the serial loop's.  One usable CPU, or one pose, starts
-        no thread."""
+        """``mi_objective`` of each pose, in order: the one scoring path of
+        every pose.  Poses are scored on up to ``SWEEP_THREADS`` threads
+        joined before the call returns, each with its own prepared scan B.
+        The scores, and the first error in pose order, are the serial
+        loop's.  One usable CPU, or one pose, starts no thread."""
         threads = max(1, min(_usable_cpus(), SWEEP_THREADS, len(poses)))
         slots = [None] * len(poses)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,13 @@ class SceneSpec:
     noise_sigma: float = 0.03
 
     def __post_init__(self):
-        if self.extent <= 0 or self.n_points <= 0:
-            raise ValueError("extent and n_points must be > 0")
-        if self.n_structures < 0 or self.noise_sigma < 0:
-            raise ValueError("n_structures and noise_sigma must be >= 0")
+        if not (math.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"extent must be in (0, inf), got {self.extent}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be in [0, inf), got {self.noise_sigma}")
+        if self.n_points <= 0 or self.n_structures < 0:
+            raise ValueError("n_points must be > 0 and n_structures >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,13 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        tmags = tuple(float(m) for m in self.translation_magnitudes)
-        rmags = tuple(float(m) for m in self.rotation_magnitudes)
-        if any(m <= 0 for m in tmags) or any(m <= 0 for m in rmags):
-            raise ValueError("magnitudes must be > 0")
+        for name in ("translation_magnitudes", "rotation_magnitudes"):
+            mags = tuple(float(m) for m in getattr(self, name))
+            if not all(math.isfinite(m) and m > 0 for m in mags):
+                raise ValueError(f"{name} must be in (0, inf), got {mags}")
+            object.__setattr__(self, name, mags)
         if self.trials_per_magnitude < 1:
             raise ValueError("trials_per_magnitude must be >= 1")
-        object.__setattr__(self, "translation_magnitudes", tmags)
-        object.__setattr__(self, "rotation_magnitudes", rmags)
 
     def classes(self) -> list[tuple[float, float, float]]:
         """(label, dt meters, dtheta degrees) per magnitude class.
@@ -97,7 +100,9 @@ class PerturbationSpec:
 
 @dataclass
 class TrialRecord:
-    """One perturb-and-align trial."""
+    """One perturb-and-align trial; the fields are the ``trials.csv`` columns.
+    A failed align ends at its start transform after 0 iterations, and its
+    ``wall_s`` is the time ``align`` ran before it raised."""
 
     magnitude: float
     trial: int
@@ -111,12 +116,8 @@ class TrialRecord:
     converged: bool
 
     def csv_row(self) -> list[str]:
-        return [
-            repr(self.magnitude), str(self.trial), repr(self.init_terr),
-            repr(self.final_terr), repr(self.init_rerr), repr(self.final_rerr),
-            repr(self.geodesic_rerr), str(self.iters), repr(self.wall_s),
-            str(int(self.converged)),
-        ]
+        return [repr(v) if isinstance(v, float) else str(int(v))
+                for v in astuple(self)]
 
 
 @dataclass(frozen=True)
@@ -279,25 +280,25 @@ def _run_trial(magnitude: float, trial: int, dt: float, dtheta: float,
     init_pose = perturb_pose(transform_to_euler(truth_t), dt, dtheta,
                              perturb_seed)
     t0 = euler_to_transform(init_pose)
-    init_terr = translation_error(t0, truth_t)
-    init_rot = rotation_error(t0, truth_t)
+    start = time.perf_counter()
     try:
         report = align(scan_a, scan_b, t0, cfg)
     except VoxmiError:
-        return TrialRecord(
-            magnitude=magnitude, trial=trial, init_terr=init_terr,
-            final_terr=init_terr, init_rerr=init_rot.euler_deg,
-            final_rerr=init_rot.euler_deg, geodesic_rerr=init_rot.geodesic_deg,
-            iters=0, wall_s=0.0, converged=False,
-        )
-    final_rot = rotation_error(report.estimated, truth_t)
+        final_t, iters, converged = t0, 0, False
+        wall_s = time.perf_counter() - start
+    else:
+        final_t, iters, wall_s = (report.estimated, report.iterations,
+                                  report.wall_time)
+        converged = report.termination in ("converged_f", "converged_x")
+    init_rot = rotation_error(t0, truth_t)
+    final_rot = rotation_error(final_t, truth_t)
     return TrialRecord(
-        magnitude=magnitude, trial=trial, init_terr=init_terr,
-        final_terr=translation_error(report.estimated, truth_t),
+        magnitude=magnitude, trial=trial,
+        init_terr=translation_error(t0, truth_t),
+        final_terr=translation_error(final_t, truth_t),
         init_rerr=init_rot.euler_deg, final_rerr=final_rot.euler_deg,
-        geodesic_rerr=final_rot.geodesic_deg, iters=report.iterations,
-        wall_s=report.wall_time,
-        converged=report.termination in ("converged_f", "converged_x"),
+        geodesic_rerr=final_rot.geodesic_deg, iters=iters, wall_s=wall_s,
+        converged=converged,
     )
 
 
@@ -320,7 +321,6 @@ def run_benchmark(pert: PerturbationSpec, cfg: AlignmentConfig | None = None,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg = cfg or AlignmentConfig()
     tasks = []
-    flat = 0
     for class_idx, (label, dt, dtheta) in enumerate(pert.classes()):
         for trial in range(pert.trials_per_magnitude):
             seq = np.random.SeedSequence(pert.seed,
@@ -329,7 +329,7 @@ def run_benchmark(pert: PerturbationSpec, cfg: AlignmentConfig | None = None,
                 int(s) for s in seq.generate_state(3)
             )
             if pairs is not None:
-                scan_a, scan_b, truth_t = pairs[flat % len(pairs)]
+                scan_a, scan_b, truth_t = pairs[len(tasks) % len(pairs)]
             else:
                 pair_spec = replace(scene, seed=scene_seed)
                 scan_a, cloud_b_world = synth_scene_pair(pair_spec)
@@ -338,11 +338,9 @@ def run_benchmark(pert: PerturbationSpec, cfg: AlignmentConfig | None = None,
                 scan_b = apply_transform(cloud_b_world, inverse(truth_t))
             tasks.append((label, trial, dt, dtheta, scan_a, scan_b, truth_t,
                           perturb_seed))
-            flat += 1
 
     def runner(task) -> TrialRecord:
-        record = _run_trial(task[0], task[1], task[2], task[3], task[4],
-                            task[5], task[6], task[7], cfg)
+        record = _run_trial(*task, cfg)
         if verbose:
             print(f"magnitude {record.magnitude:g} trial {record.trial}: "
                   f"terr {record.init_terr:.2f} -> {record.final_terr:.3f} m, "
@@ -372,11 +370,12 @@ def write_trials_csv(records: list[TrialRecord], path) -> None:
             writer.writerow(r.csv_row())
 
 
-def _column(records: list[TrialRecord], name: str) -> np.ndarray:
-    attr = {"init_terr_m": "init_terr", "final_terr_m": "final_terr",
-            "init_rerr_deg": "init_rerr", "final_rerr_deg": "final_rerr",
-            "geodesic_rerr_deg": "geodesic_rerr"}[name]
-    return np.array([getattr(r, attr) for r in records])
+def _by_magnitude(records: list[TrialRecord]) -> list[tuple[float, list]]:
+    """(magnitude, its records in their order) per class, ascending."""
+    groups: dict[float, list[TrialRecord]] = {}
+    for r in records:
+        groups.setdefault(r.magnitude, []).append(r)
+    return sorted(groups.items())
 
 
 def write_summary_csv(records: list[TrialRecord], path) -> None:
@@ -385,21 +384,21 @@ def write_summary_csv(records: list[TrialRecord], path) -> None:
     for col in ERROR_COLUMNS:
         header += [f"{col}_mean", f"{col}_median", f"{col}_q25", f"{col}_q75"]
     header += ["mean_wall_s", "converged_rate"]
-    magnitudes = sorted({r.magnitude for r in records})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for mag in magnitudes:
-            group = [r for r in records if r.magnitude == mag]
+        for mag, group in _by_magnitude(records):
+            cols = dict(zip(TRIAL_CSV_HEADER.split(","), np.array(
+                [astuple(r) for r in group], dtype=np.float64).T))
             row = [repr(mag), str(len(group))]
             for col in ERROR_COLUMNS:
-                vals = _column(group, col)
+                vals = cols[col]
                 row += [repr(float(np.mean(vals))),
                         repr(float(np.median(vals))),
                         repr(float(np.percentile(vals, 25))),
                         repr(float(np.percentile(vals, 75)))]
-            row.append(repr(float(np.mean([r.wall_s for r in group]))))
-            row.append(repr(float(np.mean([r.converged for r in group]))))
+            row.append(repr(float(np.mean(cols["wall_s"]))))
+            row.append(repr(float(np.mean(cols["converged"]))))
             writer.writerow(row)
 
 
@@ -413,15 +412,12 @@ class RuntimeInvariance:
 
 def runtime_invariance_check(records: list[TrialRecord]) -> RuntimeInvariance:
     """Compare mean align wall time across initial-error classes."""
-    magnitudes = sorted({r.magnitude for r in records})
-    if len(magnitudes) < 3:
+    groups = _by_magnitude(records)
+    if len(groups) < 3:
         raise ValueError(
-            f"insufficient magnitude classes: need >= 3, got {len(magnitudes)}"
+            f"insufficient magnitude classes: need >= 3, got {len(groups)}"
         )
-    means = {
-        mag: float(np.mean([r.wall_s for r in records if r.magnitude == mag]))
-        for mag in magnitudes
-    }
-    values = list(means.values())
+    means = {mag: float(np.mean([r.wall_s for r in group]))
+             for mag, group in groups}
     return RuntimeInvariance(class_means=means,
-                             ratio=float(max(values) / min(values)))
+                             ratio=max(means.values()) / min(means.values()))

@@ -24,6 +24,7 @@ from .align import SWEEP_AXES, AlignmentConfig, _Objective, align, sweep_axis
 from .bench import (
     PerturbationSpec,
     SceneSpec,
+    _by_magnitude,
     run_benchmark,
     synth_scene,
     synth_scene_pair,
@@ -36,12 +37,13 @@ from .errors import (
 )
 from .geometry import EulerPose, euler_to_transform, transform_to_euler
 from .mi import (
+    DEFAULT_UPPER_CLAMP,
     NO_OVERLAP_SENTINEL,
     BinningSpec,
     dump_histogram_csv,
     occupied_correlation,
 )
-from .optim import DEFAULT_INITIAL_STEPS, SimplexConfig
+from .optim import SimplexConfig
 from .scan_io import (
     SCAN_FORMATS,
     load_kitti_poses,
@@ -94,38 +96,41 @@ def _format_pose(pose: EulerPose) -> str:
 
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--feature", choices=["varz", "count"], default="varz",
+    sub.add_argument("--feature", choices=["varz", "count"],
+                     default=AlignmentConfig.feature.value,
                      help="voxel feature: z-variance or point count")
-    sub.add_argument("--resolution", type=float, default=1.0,
-                     help="voxel edge length in meters (default 1.0)")
-    sub.add_argument("--bins", type=int, default=32,
-                     help="occupied-feature histogram bins (default 32)")
-    sub.add_argument("--clamp", type=float, default=None,
-                     help="feature value mapped to the last bin "
-                     "(default 2.0 m^2 for varz, 64 for count)")
-    sub.add_argument("--phi", choices=["on", "off"], default="on",
-                     help="include the empty-voxel bin in MI (default on)")
+    sub.add_argument("--resolution", type=float, default=GridSpec.resolution,
+                     help="voxel edge length in meters (default %(default)s)")
+    sub.add_argument("--bins", type=int, default=BinningSpec.bin_count,
+                     help="occupied-feature bins (default %(default)s)")
+    sub.add_argument("--clamp", type=float, default=BinningSpec.upper_clamp,
+                     help="feature value mapped to the last bin (default "
+                     + ", ".join(f"{v:g} for {kind.value}" for kind, v
+                                 in DEFAULT_UPPER_CLAMP.items()) + ")")
+    sub.add_argument("--phi", choices=["on", "off"],
+                     default="on" if AlignmentConfig.phi_enabled else "off",
+                     help="empty-voxel bin in MI (default %(default)s)")
     sub.add_argument("--format", choices=SCAN_FORMATS, default=None,
                      help="scan format override (default: by file extension)")
 
 
 def _add_simplex_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--simplex", type=_csv_floats,
-                     default=DEFAULT_INITIAL_STEPS, metavar="S1,...,S6",
+                     default=SimplexConfig.initial_steps, metavar="S1,...,S6",
                      help="initial simplex steps for tx,ty,tz [m] and "
-                     "roll,pitch,yaw [rad] (default 8,8,1,0.1,0.1,0.8)")
-    sub.add_argument("--max-iterations", type=_count, default=300)
-    sub.add_argument("--f-tol", type=float, default=1e-5,
+                     "roll,pitch,yaw [rad] (default %(default)s)")
+    sub.add_argument("--max-iterations", type=_count,
+                     default=SimplexConfig.max_iterations)
+    sub.add_argument("--f-tol", type=float, default=SimplexConfig.f_tol,
                      help="stop when the simplex MI spread drops below this")
-    sub.add_argument("--x-tol", type=float, default=1e-3,
+    sub.add_argument("--x-tol", type=float, default=SimplexConfig.x_tol,
                      help="stop when the simplex collapses below this size")
 
 
 def _build_config(args) -> AlignmentConfig:
     kind = FeatureKind.from_name(args.feature)
-    binning = BinningSpec(
-        kind=kind, bin_count=args.bins,
-        upper_clamp=args.clamp if args.clamp is not None else 0.0)
+    binning = BinningSpec(kind=kind, bin_count=args.bins,
+                          upper_clamp=args.clamp)
     simplex = SimplexConfig(
         initial_steps=tuple(args.simplex),
         max_iterations=args.max_iterations,
@@ -233,28 +238,18 @@ def _kitti_pairs(args):
 
 def _cmd_benchmark(args) -> int:
     cfg = _build_config(args)
-    pert = PerturbationSpec(
-        translation_magnitudes=tuple(args.tmags),
-        rotation_magnitudes=tuple(args.rmags) if args.rmags else (),
-        trials_per_magnitude=args.trials,
-        seed=args.seed,
-    )
-    if args.kitti_dir:
-        records = run_benchmark(pert, cfg, pairs=_kitti_pairs(args),
-                                jobs=args.jobs, out_dir=args.out_dir,
-                                verbose=args.verbose)
-    else:
-        scene = SceneSpec(seed=args.seed, extent=args.extent,
-                          n_points=args.points,
-                          n_structures=args.structures,
-                          noise_sigma=args.noise)
-        records = run_benchmark(pert, cfg, scene=scene, jobs=args.jobs,
-                                out_dir=args.out_dir, verbose=args.verbose)
+    pert = PerturbationSpec(translation_magnitudes=args.tmags,
+                            rotation_magnitudes=args.rmags,
+                            trials_per_magnitude=args.trials, seed=args.seed)
+    pairs = _kitti_pairs(args) if args.kitti_dir else None
+    records = run_benchmark(
+        pert, cfg, scene=None if args.kitti_dir else _scene_spec(args),
+        pairs=pairs, jobs=args.jobs, out_dir=args.out_dir,
+        verbose=args.verbose)
     print(f"{'magnitude':>9}  {'trials':>6}  {'init terr':>9}  "
           f"{'final terr':>10}  {'final rerr':>10}  {'conv':>5}  "
           f"{'wall s':>7}")
-    for mag in sorted({r.magnitude for r in records}):
-        group = [r for r in records if r.magnitude == mag]
+    for mag, group in _by_magnitude(records):
         print(f"{mag:9g}  {len(group):6d}  "
               f"{np.mean([r.init_terr for r in group]):9.3f}  "
               f"{np.mean([r.final_terr for r in group]):10.3f}  "
@@ -266,10 +261,14 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    spec = SceneSpec(seed=args.seed, extent=args.extent,
+def _scene_spec(args) -> SceneSpec:
+    return SceneSpec(seed=args.seed, extent=args.extent,
                      n_points=args.points, n_structures=args.structures,
                      noise_sigma=args.noise)
+
+
+def _cmd_synth(args) -> int:
+    spec = _scene_spec(args)
     if args.pair_out:
         cloud_a, cloud_b = synth_scene_pair(spec)
         save_scan(cloud_a, args.out, args.format)
@@ -284,12 +283,12 @@ def _cmd_synth(args) -> int:
 
 
 def _add_scene_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--points", type=_count, default=50_000)
-    sub.add_argument("--structures", type=int, default=40)
-    sub.add_argument("--noise", type=float, default=0.03,
-                     help="surface noise sigma in meters (default 0.03)")
-    sub.add_argument("--extent", type=float, default=40.0,
-                     help="scene side length in meters (default 40)")
+    sub.add_argument("--points", type=_count, default=SceneSpec.n_points)
+    sub.add_argument("--structures", type=int, default=SceneSpec.n_structures)
+    sub.add_argument("--noise", type=float, default=SceneSpec.noise_sigma,
+                     help="noise sigma in meters (default %(default)s)")
+    sub.add_argument("--extent", type=float, default=SceneSpec.extent,
+                     help="scene side length in meters (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,17 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="error-vs-initial-error batches on "
                        "synthetic scenes or a scan directory")
-    p.add_argument("--tmags", type=_csv_floats, default=(1.0, 3.0, 5.0),
+    p.add_argument("--tmags", type=_csv_floats,
+                   default=PerturbationSpec.translation_magnitudes,
                    metavar="M1,M2,...",
                    help="initial translation offsets in meters (default "
-                   "1,3,5)")
+                   "%(default)s)")
     p.add_argument("--rmags", type=_csv_floats, default=(),
                    metavar="D1,D2,...",
                    help="initial yaw offsets in degrees, cycled across "
                    "translation classes (default none)")
-    p.add_argument("--trials", type=_count, default=3,
-                   help="trials per magnitude class (default 3)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_count,
+                   default=PerturbationSpec.trials_per_magnitude,
+                   help="trials per magnitude class (default %(default)s)")
+    p.add_argument("--seed", type=int, default=PerturbationSpec.seed)
     p.add_argument("--jobs", type=_count, default=1,
                    help="trials to run concurrently on threads (default 1; "
                    "above 1, each trial's wall_s includes thread contention)")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pair-out", default=None,
                    help="also write a second sampling of the same scene")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SceneSpec.seed)
     p.add_argument("--format", choices=SCAN_FORMATS, default=None)
     _add_scene_options(p)
     p.set_defaults(func=_cmd_synth)

@@ -59,8 +59,9 @@ class BinningSpec:
             raise ValueError(f"bin_count must be >= 2, got {self.bin_count}")
         if self.upper_clamp == 0.0:
             object.__setattr__(self, "upper_clamp", DEFAULT_UPPER_CLAMP[self.kind])
-        if not self.upper_clamp > 0:
-            raise ValueError(f"upper_clamp must be > 0, got {self.upper_clamp}")
+        if not (np.isfinite(self.upper_clamp) and self.upper_clamp > 0):
+            raise ValueError(
+                f"upper_clamp must be in (0, inf), got {self.upper_clamp}")
 
 
 def bin_feature(value: float | None, spec: BinningSpec) -> int:

@@ -34,13 +34,15 @@ class SimplexConfig:
 
     def __post_init__(self):
         steps = tuple(float(s) for s in self.initial_steps)
-        if not steps or any(not s > 0 for s in steps):
-            raise ValueError(f"initial steps must all be > 0, got {steps}")
+        if not steps or not all(np.isfinite(s) and s > 0 for s in steps):
+            raise ValueError(f"initial_steps must be in (0, inf), got {steps}")
         object.__setattr__(self, "initial_steps", steps)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.f_tol > 0 and self.x_tol > 0):
-            raise ValueError("tolerances must be > 0")
+        for name in ("f_tol", "x_tol"):
+            tol = getattr(self, name)
+            if not (np.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be in (0, inf), got {tol}")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
 
