@@ -3,8 +3,11 @@
 The reference scan A is voxelized and featurized a single time, and scan B
 is laid out once as a prepared scan; every objective evaluation transforms
 scan B by the candidate pose, re-voxelizes it on the shared grid (anchored
-at scan A's frame origin) over its overlap with A, and scores mutual
+at scan A's frame origin) over A's padded box, and scores mutual
 information.  A Nelder-Mead search over the 6-DOF pose drives the loop.
+With two usable CPUs, one worker thread, held for the whole call, moves
+half of a large scan B in each evaluation, or scores every other pose of a
+sweep.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ SWEEP_AXES = ("tx", "ty", "tz", "rx", "ry", "rz")
 # On 2 cores, two run an 81-pose 50k-point count sweep x1.24 as fast as one:
 # 2/1.24 - 1 = 61% holds the GIL; a third adds little but a copy of B's rows.
 SWEEP_THREADS = 2
+# Fewest points of scan B for which one evaluation moves half of them on the
+# second thread.  On 2 cores (one BLAS thread) a handoff, two thread wake-ups,
+# costs about 0.3 ms, so a split evaluation lost below 60k points and won
+# x1.2-1.3 from 80k (synthetic 40 m scenes, varz and count, 60 poses).
+SPLIT_POINTS = 70_000
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,14 @@ class AlignmentReport:
 class _Objective(PreparedScan):
     """Scan B prepared against scan A's feature map, made by this module's
     ``voxelize`` and ``compute_feature_map``: :meth:`score_all` scores every
-    pose of ``align`` and ``sweep_axis``, :meth:`breakdown` the rest."""
+    pose of ``align`` and ``sweep_axis``, :meth:`breakdown` the rest.
+
+    With two usable CPUs or more it holds, until :meth:`close`, a one-thread
+    executor whose thread starts on first use.  That thread scores every
+    other pose of a multi-pose :meth:`score_all`, and, for a scan B of
+    ``SPLIT_POINTS`` points or more, moves the second half of B's points in
+    each one-pose evaluation (:meth:`PreparedScan.split`).
+    """
 
     def __init__(self, scan_a: PointCloud, scan_b: PointCloud,
                  cfg: AlignmentConfig):
@@ -116,10 +131,26 @@ class _Objective(PreparedScan):
                                      cfg.feature)
         super().__init__(feat_a, scan_b, cfg.grid, cfg.binning)
         self.scan_b, self.phi = scan_b, cfg.phi_enabled
+        self.pool = self.pair = None  # pair: the thread's own prepared scan
+        if _usable_cpus() > 1:
+            self.pool = ThreadPoolExecutor(SWEEP_THREADS - 1)
+            if len(self) >= max(SPLIT_POINTS, 4):
+                self.split(self.pool)
+
+    def close(self) -> None:
+        """Join the executor's thread, if it started."""
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def __enter__(self) -> "_Objective":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __call__(self, x: np.ndarray) -> float:
         """MI at the pose vector ``x``, the optimizer's objective, scored
-        by :meth:`score_all` on the calling thread."""
+        by :meth:`score_all` as a one-pose call."""
         return self.score_all([EulerPose.from_vector(x)])[0]
 
     def breakdown(self, transform: np.ndarray
@@ -131,41 +162,46 @@ class _Objective(PreparedScan):
 
     def score_all(self, poses: list[EulerPose]) -> list[float]:
         """``mi_objective`` of each pose, in order: the one scoring path of
-        every pose.  Poses are scored on up to ``SWEEP_THREADS`` threads
-        joined before the call returns, each with its own prepared scan B.
-        The scores, and the first error in pose order, are the serial
-        loop's.  One usable CPU, or one pose, starts no thread."""
-        threads = max(1, min(_usable_cpus(), SWEEP_THREADS, len(poses)))
+        every pose.  One pose, or one usable CPU, is scored on the calling
+        thread; more poses are shared with the executor's thread, each
+        thread with its own prepared scan B, and joined before the call
+        returns.  The scores, and the first error in pose order, are the
+        serial loop's."""
+        if self.pool is None or len(poses) == 1:
+            return [mi_objective(self.feat_a, self, pose, self.grid,
+                                 self.spec, include_phi=self.phi)
+                    for pose in poses]
+        if self.pair is None:
+            self.pair = PreparedScan(self.feat_a, self.scan_b, self.grid,
+                                     self.spec)
         slots = [None] * len(poses)
-
-        def score(scan: PreparedScan, first: int) -> None:
-            # thread k scores poses k, k + threads, ...: neighbouring
-            # poses, which cost about the same, go to different threads
-            for i in range(first, len(poses), threads):
-                try:
-                    slots[i] = mi_objective(self.feat_a, scan, poses[i],
-                                            self.grid, self.spec,
-                                            include_phi=self.phi)
-                except Exception as exc:
-                    # a thread stops at its first error only, so every pose
-                    # before the earliest failing one is scored
-                    slots[i] = exc
-                    return
-
-        if threads == 1:
-            score(self, 0)
-        else:
-            with ThreadPoolExecutor(threads - 1) as pool:
-                workers = pool.map(score, [
-                    PreparedScan(self.feat_a, self.scan_b, self.grid,
-                                 self.spec) for _ in range(1, threads)],
-                    range(1, threads))
-                score(self, 0)
-                list(workers)
+        helper, self.helper = self.helper, None  # its thread scores poses
+        try:
+            job = self.pool.submit(self._score_into, self.pair, poses, slots,
+                                   1)
+            self._score_into(self, poses, slots, 0)
+            job.result()
+        finally:
+            self.helper = helper
         for slot in slots:
             if isinstance(slot, Exception):
                 raise slot
         return slots
+
+    def _score_into(self, scan: PreparedScan, poses: list[EulerPose],
+                    slots: list, first: int) -> None:
+        """Score poses ``first``, ``first + SWEEP_THREADS``, ... on ``scan``
+        into ``slots``: neighbouring poses, which cost about the same, go to
+        different threads.  Stops at the first error, stored in its slot,
+        so every pose before the earliest failing one is scored."""
+        for i in range(first, len(poses), SWEEP_THREADS):
+            try:
+                slots[i] = mi_objective(self.feat_a, scan, poses[i],
+                                        self.grid, self.spec,
+                                        include_phi=self.phi)
+            except Exception as exc:
+                slots[i] = exc
+                return
 
 
 def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
@@ -178,23 +214,24 @@ def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
     """
     cfg = cfg or AlignmentConfig()
     t0 = validate_transform(t0)
-    objective = _Objective(scan_a, scan_b, cfg)
     initial_pose = transform_to_euler(t0)
-    start = time.perf_counter()
-    result: OptimResult = nelder_mead_maximize(
-        objective, initial_pose.as_vector(), cfg.simplex
-    )
-    wall = time.perf_counter() - start
+    with _Objective(scan_a, scan_b, cfg) as objective:
+        start = time.perf_counter()
+        result: OptimResult = nelder_mead_maximize(
+            objective, initial_pose.as_vector(), cfg.simplex
+        )
+        wall = time.perf_counter() - start
 
-    if result.best_value <= NO_OVERLAP_SENTINEL:
-        # the initial pose scored the sentinel too, so this raises
-        try:
-            objective.breakdown(euler_to_transform(initial_pose))
-        except (OutOfBoundsError, EmptyOverlapError) as exc:
-            raise NoOverlapError("no candidate pose gave a usable overlap; "
-                                 f"at the initial pose: {exc}") from exc
-    estimated_pose = EulerPose.from_vector(result.best_x).normalized()
-    final_mi = objective(estimated_pose.as_vector())
+        if result.best_value <= NO_OVERLAP_SENTINEL:
+            # the initial pose scored the sentinel too, so this raises
+            try:
+                objective.breakdown(euler_to_transform(initial_pose))
+            except (OutOfBoundsError, EmptyOverlapError) as exc:
+                raise NoOverlapError(
+                    "no candidate pose gave a usable overlap; "
+                    f"at the initial pose: {exc}") from exc
+        estimated_pose = EulerPose.from_vector(result.best_x).normalized()
+        final_mi = objective(estimated_pose.as_vector())
     return AlignmentReport(
         estimated=euler_to_transform(estimated_pose),
         estimated_pose=estimated_pose,
@@ -217,8 +254,8 @@ def mi_at(scan_a: PointCloud, scan_b: PointCloud, pose: EulerPose,
     is occupied in both scans.
     """
     cfg = cfg or AlignmentConfig()
-    return _Objective(scan_a, scan_b, cfg).breakdown(
-        euler_to_transform(pose))[1]
+    with _Objective(scan_a, scan_b, cfg) as objective:
+        return objective.breakdown(euler_to_transform(pose))[1]
 
 
 def _usable_cpus() -> int:
@@ -240,7 +277,7 @@ def sweep_axis(scan_a: PointCloud, scan_b: PointCloud, base_pose: EulerPose,
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     cfg = cfg or AlignmentConfig()
-    objective = _Objective(scan_a, scan_b, cfg)
     values = [float(v) for v in values]
     poses = [replace(base_pose, **{axis: v}) for v in values]
-    return list(zip(values, objective.score_all(poses)))
+    with _Objective(scan_a, scan_b, cfg) as objective:
+        return list(zip(values, objective.score_all(poses)))

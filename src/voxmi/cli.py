@@ -203,7 +203,8 @@ def _cmd_histogram(args) -> int:
     scan_a, scan_b = _load_pair(args)
     cfg = _build_config(args)
     t = _parse_pose_arg(args.init) if args.init else np.eye(4)
-    hist, result = _Objective(scan_a, scan_b, cfg).breakdown(t)
+    with _Objective(scan_a, scan_b, cfg) as objective:
+        hist, result = objective.breakdown(t)
     corr = occupied_correlation(hist.counts)
     print(f"voxels in overlap region: {hist.total}")
     print(f"H(A) = {result.h_x:.6f}  H(B) = {result.h_y:.6f}  "

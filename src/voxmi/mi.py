@@ -2,19 +2,21 @@
 
 Features of both scans inside the overlap region are binned into a 2D
 histogram whose bin 0 on each axis is reserved for the no-feature value of
-unoccupied voxels.  Each scan's bins form a dense raster over its box; both
-are sliced over the region and every cell is counted, so voxels empty in
+unoccupied voxels.  Every cell of the region is counted, so voxels empty in
 both scans land in cell (0, 0) and empty space contributes alignment
-evidence.  Mutual information is H(X) + H(Y) - H(X, Y) in nats.
-An evaluation runs on a :class:`PreparedScan`, which bins scan B over the
-overlap region only.
+evidence.  Scan A's bins form a dense raster over its box padded by one
+cell per side; its counts over a region are taken once per region and
+cached, and only scan B's occupied voxels are then counted one by one.
+Mutual information is H(X) + H(Y) - H(X, Y) in nats.  An evaluation runs
+on a :class:`PreparedScan`, which bins scan B over A's padded box, so B's
+cells index A's raster directly.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import gt, sub
+from operator import ge, gt, le, sub
 
 import numpy as np
 
@@ -25,12 +27,14 @@ from .voxel import (
     FeatureMap,
     GridSpec,
     VoxelIndexMap,
-    _bin_cells,
+    _cell_index,
     _corners,
+    _count_cells,
     _feature_map,
     _floor_rows,
     box_shape,
     compute_overlap,
+    overlap_voxel_count,
 )
 
 # Worst-possible objective value: returned for candidate poses with no
@@ -117,45 +121,55 @@ class MIResult:
     h_xy: float
 
 
-def _raster(feat: FeatureMap, spec: BinningSpec, dtype) -> np.ndarray:
-    """Bins of ``feat`` over its box as ``dtype``, 0 on unoccupied cells."""
-    # no limit check: voxelize and PreparedScan check the scans' own boxes
-    raster = np.zeros([hi - lo + 1 for lo, hi in zip(*_corners(feat.bounds))],
-                      dtype=dtype)
-    # a feature map holds finite values >= 0 only, so they bin unchecked
-    raster.ravel()[feat.cells] = _bins(feat.values, spec, dtype)
-    return raster
-
-
-def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> np.ndarray:
-    """Bins of ``feat`` times ``bin_count + 1`` over its box, so that adding
-    the other scan's bin gives a cell's pair index.
+def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> tuple:
+    """Scan A's bins times ``bin_count + 1`` over its box padded by one cell
+    per side, so that adding the other scan's bin gives a cell's pair index;
+    the pad holds ``(bin_count + 1) ** 2``, so its pairs land past every
+    histogram cell.  Returned with A's box, the padded box, and A's counts
+    per region already counted, keyed by the region's mins and maxs:
+    ``(raster, box, padded, regions)``.
 
     Made once per spec and cached on the feature map, so scan A is binned
     once per run; a :class:`PreparedScan` makes it for its scan A up front.
     """
-    raster = feat.binned.get(spec)
-    if raster is None:
+    entry = feat.binned.get(spec)
+    if entry is None:
         width = spec.bin_count + 1
-        raster = feat.binned[spec] = _raster(
-            feat, spec, np.min_scalar_type(spec.bin_count * width))
-        raster *= width
-    return raster
+        box = _corners(feat.bounds)
+        padded = (tuple(v - 1 for v in box[0]), tuple(v + 1 for v in box[1]))
+        # no limit check: voxelize and PreparedScan check A's own box
+        dtype = np.min_scalar_type(width * width + spec.bin_count)
+        core = np.zeros([hi - lo + 1 for lo, hi in zip(*box)], dtype=dtype)
+        # a feature map holds finite values >= 0 only, so they bin unchecked
+        bins = _bins(feat.values, spec, dtype)
+        core.ravel()[feat.cells] = bins
+        core *= width
+        raster = np.full([n + 2 for n in core.shape], width * width, dtype)
+        raster[1:-1, 1:-1, 1:-1] = core
+        # A's counts over its own box, the most common region
+        counts = np.bincount(bins, minlength=width)
+        counts[0] = core.size - bins.size
+        entry = feat.binned[spec] = (raster, box, padded,
+                                     {(*box[0], *box[1]): counts})
+    return entry
 
 
-def _region_view(raster: np.ndarray, bounds, region: tuple,
-                 shape) -> np.ndarray:
-    """``raster`` over the box ``bounds`` on every cell of the (tuple) region;
-    0 outside the box.  A region inside the box gets a view, not a copy."""
-    (r0, r1), (b0, b1) = region, _corners(bounds)
-    lo = [r if r > b else b for r, b in zip(r0, b0)]
-    hi = [max((r if r < b else b) + 1, m) for r, b, m in zip(r1, b1, lo)]
-    view = raster[tuple(map(slice, map(sub, lo, b0), map(sub, hi, b0)))]
-    if view.shape == shape:
-        return view
-    out = np.zeros(shape, dtype=raster.dtype)
-    out[tuple(map(slice, map(sub, lo, r0), map(sub, hi, r0)))] = view
-    return out
+def _region_counts(entry: tuple, region: tuple, width: int) -> np.ndarray:
+    """Scan A's bin counts over every cell of ``region``, cells past A's box
+    in bin 0; cached per region in ``entry``, :func:`_pair_raster`'s."""
+    raster, box, padded, regions = entry
+    key = (*region[0], *region[1])
+    counts = regions.get(key)
+    if counts is None:  # two threads may both count it: the counts agree
+        lo = [max(r, b) for r, b in zip(region[0], box[0])]
+        hi = [max(min(r, b) + 1, m) for r, b, m in zip(region[1], box[1], lo)]
+        view = raster[tuple(map(slice, map(sub, lo, padded[0]),
+                                map(sub, hi, padded[0])))]
+        counts = np.bincount(view.ravel(),
+                             minlength=width * width)[::width].copy()
+        counts[0] += overlap_voxel_count(region) - view.size
+        regions[key] = counts
+    return counts
 
 
 def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
@@ -165,24 +179,46 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
 
     Voxels occupied in one scan only pair with bin 0 on the other axis, and
     voxels occupied in neither land in cell (0, 0).  Region cells outside a
-    map's occupied box are unoccupied in that map.
+    map's occupied box are unoccupied in that map.  Only B's occupied
+    voxels in the region are counted one by one; B's column 0 is then A's
+    counts over the region (cached per region) less each row's B voxels.
     """
     if feat_a.kind is not spec.kind or feat_b.kind is not spec.kind:
         raise ValueError("feature maps and binning spec must share one kind")
     region = _corners(region)
     if any(map(gt, *region)):
         raise EmptyOverlapError("overlap region is empty")
-    shape = box_shape(region)
+    box_shape(region)
     width = spec.bin_count + 1
-    # pair index: A's bin * width + B's bin, in A's raster dtype (no cast)
-    pair_a = _pair_raster(feat_a, spec)
-    pairs = np.add(
-        _region_view(pair_a, feat_a.bounds, region, shape),
-        _region_view(_raster(feat_b, spec, pair_a.dtype), feat_b.bounds,
-                     region, shape))
-    counts = np.bincount(pairs.ravel(), minlength=width * width)
-    return JointHistogram(counts=counts.reshape(width, width),
-                          total=pairs.size, spec=spec)
+    entry = _pair_raster(feat_a, spec)
+    raster, box, padded, _ = entry
+    pairs = _bins(feat_b.values, spec, raster.dtype)
+    if feat_b.bounds is padded and all(map(ge, region[0], box[0])) \
+            and all(map(le, region[1], box[1])):
+        # B's cells index the padded raster, whose pad pairs fall past every
+        # histogram cell; A's cells off the region, if any, are padded too
+        lut = raster
+        if region != box:
+            lut = raster.copy()
+            for axis, (r0, r1, p0) in enumerate(zip(*region, padded[0])):
+                lut[(slice(None),) * axis + (slice(r0 - p0),)] = width * width
+                lut[(slice(None),) * axis + (slice(r1 - p0 + 1, None),)] = \
+                    width * width
+        pairs += lut.ravel()[feat_b.cells]
+    else:
+        ijk = feat_b.voxels()
+        keep = ((ijk >= region[0]) & (ijk <= region[1])).all(axis=1)
+        ijk, pairs = ijk[keep], pairs[keep]
+        in_a = ((ijk >= box[0]) & (ijk <= box[1])).all(axis=1)
+        # a B voxel past A's box keeps pair index 0 * width + its bin
+        pairs[in_a] += raster.ravel()[np.ravel_multi_index(
+            (ijk[in_a] - padded[0]).T, raster.shape)]
+    counts = np.bincount(pairs, minlength=width * width)[:width * width]
+    counts = counts.reshape(width, width)
+    # every B bin is >= 1, so column 0 holds no B voxel yet
+    counts[:, 0] = _region_counts(entry, region, width) - counts.sum(axis=1)
+    return JointHistogram(counts=counts, total=overlap_voxel_count(region),
+                          spec=spec)
 
 
 def entropy(counts) -> float:
@@ -248,9 +284,11 @@ class PreparedScan:
     ``z`` and ``slot`` (the last two for VARZ only), so concurrent evaluations
     each need their own prepared scan.  They may share ``feat_a``: its pair
     raster is cached here, so no evaluation writes it.  An evaluation bins B
-    over the overlap region, which lies in A's box, plus a guard shell of at
-    most one cell per side; only A's box is checked against the dense-grid
-    limit, so no pose of B can raise BoxTooLargeError.
+    over A's box padded by one cell per side, ``box``, fixed for the scan's
+    life, so B's cells index A's pair raster directly; only A's box is
+    checked against the dense-grid limit, so no pose of B can raise
+    BoxTooLargeError.  After :meth:`split`, the one thread of an executor
+    moves the second half of B's points in every evaluation.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
@@ -261,50 +299,86 @@ class PreparedScan:
         if n == 0:
             raise ValueError("cannot voxelize an empty cloud")
         box_shape(feat_a.bounds)
-        _pair_raster(feat_a, spec)
+        raster, _, self.box, _ = _pair_raster(feat_a, spec)
+        self.size = raster.size
         self.feat_a, self.grid, self.spec = feat_a, grid, spec
         self.points = cloud_b.points.T
         self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
         self.row = tuple(self.rows)  # its rows as views, made once
         self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
                              if spec.kind is FeatureKind.VARZ else (None, None))
+        self.whole, self.halves, self.helper = self._part(0, n), None, None
 
     def __len__(self) -> int:
         return self.points.shape[1]
 
-    def apply_transform(self, t: np.ndarray) -> None:
-        """Move B by the rigid transform ``t`` (not validated) and floor it
-        onto the grid: ``R @ p``, ``+ t``, ``/ resolution``, a division
-        skipped at resolution 1; ``bounds`` becomes moved B's index box."""
-        rows = self.rows
+    def _part(self, lo: int, hi: int) -> tuple:
+        """Views of points ``lo`` to ``hi`` in every per-point array."""
+        rows = self.rows[:, lo:hi]
+        return (lo, self.points[:, lo:hi], rows, tuple(rows),
+                self.cell[lo:hi], None if self.z is None else self.z[lo:hi])
+
+    def split(self, helper) -> None:
+        """From now on, while ``helper`` is set, let the one thread of that
+        executor move the second half of B's points as the caller moves the
+        first.  Each half needs 2 points or more: NumPy multiplies a
+        one-column matrix on another path, which rounds differently."""
+        n = len(self)
+        if n < 4:
+            raise ValueError(
+                f"cannot split {n} points into halves of 2 or more")
+        self.halves = self._part(0, n // 2), self._part(n // 2, n)
+        self.helper = helper
+
+    def _move(self, t: np.ndarray, part: tuple) -> tuple[list, list]:
+        """:meth:`apply_transform` of the points of one :meth:`_part`;
+        returns their index box before the clamp."""
+        first, points, rows, row, cell, z = part
         # a GEMM on the transposed view, bit for bit the product that
         # ``geometry.apply_transform`` makes, with no copy of the scan
-        np.matmul(t[:3, :3], self.points, out=rows)
+        np.matmul(t[:3, :3], points, out=rows)
         rows += t[:3, 3:]
-        if self.z is not None:
-            np.copyto(self.z, self.row[2])
+        if z is not None:
+            np.copyto(z, row[2])
         if self.grid.resolution != 1.0:
             rows /= self.grid.resolution
-        self.bounds = _floor_rows(
-            rows, lambda i: t[:3, :3] @ self.points[:, i] + t[:3, 3])
+        lo, hi = _floor_rows(
+            rows, lambda i: t[:3, :3] @ points[:, i] + t[:3, 3], first)
+        for x, low, high, p, q in zip(row, lo, hi, *self.box):
+            if low < p:
+                np.maximum(x, p, out=x)
+            if high > q:
+                np.minimum(x, q, out=x)
+        _cell_index(row, self.box, cell)
+        return lo, hi
 
-    def voxelize(self, region) -> VoxelIndexMap:
-        """Bin moved B over the index box ``region`` and a guard shell one
-        cell wide on the sides B passes it.  Points outside the region are
-        clamped into the shell, which no histogram reads, so a region voxel
-        holds the same points, in the same order, as in B's own box."""
-        (r0, r1), (b0, b1) = _corners(region), self.bounds
-        lo = [r - (b < r) for r, b in zip(r0, b0)]
-        hi = [r + (b > r) for r, b in zip(r1, b1)]
-        for x, low, r, high, s in zip(self.row, lo, r0, hi, r1):
-            if low < r:
-                np.maximum(x, low, out=x)
-            if high > s:
-                np.minimum(x, high, out=x)
-        return _bin_cells(self.row, (lo, hi), self.cell, self.slot)
+    def apply_transform(self, t: np.ndarray) -> None:
+        """Move B by the rigid transform ``t`` (not validated), floor it
+        onto the grid (``R @ p``, ``+ t``, ``/ resolution``, a division
+        skipped at resolution 1), clamp it into ``box`` and index its cells
+        there; ``bounds`` becomes moved B's index box before the clamp.
+        Points past A's box land in the pad, which no histogram reads, so a
+        voxel of A's box holds the same points as in B's own box."""
+        if self.helper is None:
+            self.bounds = self._move(t, self.whole)
+            return
+        first, second = self.halves
+        job = self.helper.submit(self._move, t, second)
+        try:
+            lo, hi = self._move(t, first)
+        except BaseException:
+            job.exception()  # the helper still fills the buffers
+            raise
+        lo2, hi2 = job.result()  # its error names a later point
+        self.bounds = list(map(min, lo, lo2)), list(map(max, hi, hi2))
+
+    def voxelize(self) -> VoxelIndexMap:
+        """Count moved B's points per cell of ``box``, from the cells of the
+        last :meth:`apply_transform`; a cell's points are in point order."""
+        return _count_cells(self.cell, self.box, self.size, self.slot)
 
     def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
-        """Features of the voxels of the last :meth:`voxelize`; its spent
+        """Features of the voxels of the last :meth:`voxelize`; the spent
         ``rows[0]`` holds the deviations."""
         return _feature_map(voxel_map, self.z, self.spec.kind, self.row[0])
 
@@ -316,7 +390,7 @@ class PreparedScan:
         region = _corners(compute_overlap(self.feat_a.bounds, self.bounds))
         if any(map(gt, *region)):
             raise EmptyOverlapError("scans do not overlap at this pose")
-        feat_b = compute_feature_map(self, voxelize(self, region))
+        feat_b = compute_feature_map(self, voxelize(self))
         return build_joint_histogram(self.feat_a, feat_b, region, self.spec)
 
 

@@ -3,15 +3,15 @@
 A scan is dropped onto a shared cubic grid anchored at the frame origin;
 each occupied voxel gets one scalar feature (z-height variance or point
 count).  An index box is a (2, 3) [mins; maxs] of inclusive voxel index
-ranges: an int64 array in a public result, a (mins, maxs) tuple of ints
-inside an evaluation.  A point's voxel is a linear (C-order, x-major) cell
-index inside a box of cells: the scan's occupied box, or for a scan being
-scored (:class:`voxmi.mi.PreparedScan`) its overlap with the other scan.
-One ``np.bincount`` over the box finds the occupied cells; per-voxel sums
-are then ``np.bincount`` over each point's slot among those cells, in point
-order.  A cell with no points carries the no-feature value.  A box of more
-than ``MAX_BOX_CELLS`` cells is refused with BoxTooLargeError before any
-dense array is allocated.
+ranges: an int64 array in a public result, a (mins, maxs) tuple of int
+tuples inside an evaluation.  A point's voxel is a linear (C-order,
+x-major) cell index inside a box of cells: the scan's occupied box, or for
+a scan being scored (:class:`voxmi.mi.PreparedScan`) the other scan's
+occupied box padded by one cell per side.  One ``np.bincount`` over the box
+finds the occupied cells; per-voxel sums are then ``np.bincount`` over each
+point's slot among those cells, in point order.  A cell with no points
+carries the no-feature value.  A box of more than ``MAX_BOX_CELLS`` cells
+is refused with BoxTooLargeError before any dense array is allocated.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ class GridSpec:
 
 
 def _corners(box) -> tuple:
-    """An index box as a (mins, maxs) tuple of ints; a tuple is one."""
+    """An index box as a (mins, maxs) tuple of int tuples; a tuple is one."""
     if type(box) is not tuple:
         box = np.asarray(box, dtype=np.int64)
         if box.shape != (2, 3):
             raise ValueError("bounds must be (2, 3) [mins; maxs] arrays")
-        box = tuple(box.tolist())
+        box = tuple(map(tuple, box.tolist()))
     return box
 
 
@@ -89,10 +89,10 @@ class VoxelIndexMap:
     """Points of one cloud assigned to the occupied cells of a box.
 
     ``bounds`` is the integer [mins; maxs] box: the tight box over occupied
-    voxel indices, or for a scan being scored an overlap region with its
-    guard shell.  ``occupied`` holds the ascending linear (C-order) indices
-    of the cells with at least one point, ``counts`` their point counts and
-    ``slot`` each point's position in ``occupied`` (None when not needed).
+    voxel indices, or for a scan being scored the other scan's padded box.
+    ``occupied`` holds the ascending linear (C-order) indices of the cells
+    with at least one point, ``counts`` their point counts and ``slot`` each
+    point's position in ``occupied`` (None when not needed).
     """
 
     slot: np.ndarray | None
@@ -152,11 +152,13 @@ class FeatureMap:
                 for ijk, v in zip(self.voxels(), self.values)}
 
 
-def _floor_rows(rows: np.ndarray, point) -> tuple[list[int], list[int]]:
+def _floor_rows(rows: np.ndarray, point, first: int = 0
+                ) -> tuple[list[int], list[int]]:
     """Floor (3, N) grid coordinates in place and return their integer
-    (mins, maxs).  Raises OutOfBoundsError naming the first point,
-    ``point(i)`` in metres, whose index leaves [INDEX_MIN, INDEX_MAX]; only
-    the bounds are checked unless one does."""
+    (mins, maxs).  Raises OutOfBoundsError naming the first point whose
+    index leaves [INDEX_MIN, INDEX_MAX]: ``first`` plus its column, at
+    ``point(column)`` in metres; only the bounds are checked unless one
+    does."""
     np.floor(rows, out=rows)
     lo = np.minimum.reduce(rows, axis=1).tolist()
     hi = np.maximum.reduce(rows, axis=1).tolist()
@@ -164,28 +166,30 @@ def _floor_rows(rows: np.ndarray, point) -> tuple[list[int], list[int]]:
         ijk = rows.T.astype(np.int64)
         i = int(np.flatnonzero((ijk < INDEX_MIN) | (ijk > INDEX_MAX))[0]) // 3
         raise OutOfBoundsError(
-            f"point {i} at {point(i)} maps to voxel index "
+            f"point {first + i} at {point(i)} maps to voxel index "
             f"{ijk[i]} outside [{INDEX_MIN}, {INDEX_MAX}]"
         )
     return [int(v) for v in lo], [int(v) for v in hi]
 
 
-def _bin_cells(rows, box, cell: np.ndarray,
-               slot: np.ndarray | None) -> VoxelIndexMap:
-    """Count floored (3, N) ``rows`` (or its 3 rows), in ``box``, per cell.
-
-    The cell index is summed in place in ``rows``, which it uses up;
-    ``cell`` and ``slot`` (None: no slots) are filled in place.
-    """
+def _cell_index(rows, box, cell: np.ndarray) -> None:
+    """Write the linear cells in ``box`` of floored (3, N) ``rows`` (or its
+    3 rows), which it uses up, into ``cell``."""
     (x0, y0, z0), (x1, y1, z1) = _corners(box)
-    nx, ny, nz = x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1
+    ny, nz = y1 - y0 + 1, z1 - z0 + 1
     # every term is an integer below 2**44, so the float arithmetic is exact
     np.multiply(rows[0], ny * nz, out=rows[0])
     np.multiply(rows[1], nz, out=rows[1])
     np.add(rows[0], rows[1], out=rows[0])
     np.add(rows[0], rows[2], out=rows[0])
     np.subtract(rows[0], (x0 * ny + y0) * nz + z0, out=cell, casting="unsafe")
-    per_cell = np.bincount(cell, minlength=nx * ny * nz)
+
+
+def _count_cells(cell: np.ndarray, box, size: int,
+                 slot: np.ndarray | None) -> VoxelIndexMap:
+    """Count points per cell of ``box``, of ``size`` cells, from their
+    ``cell``; ``slot`` (None: no slots) is filled in place."""
+    per_cell = np.bincount(cell, minlength=size)
     occupied = np.flatnonzero(per_cell > 0)
     counts = per_cell[occupied]
     if slot is not None:
@@ -222,9 +226,11 @@ def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
     if n == 0:
         raise ValueError("cannot voxelize an empty cloud")
     rows, bounds = _floored(cloud, grid)
-    box_shape(bounds)  # refuses a box past the dense-grid limit
-    return _bin_cells(rows, np.array(bounds, dtype=np.int64),
-                      np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp))
+    nx, ny, nz = box_shape(bounds)  # refuses a box past the dense-grid limit
+    cell = np.empty(n, dtype=np.intp)
+    _cell_index(rows, bounds, cell)
+    return _count_cells(cell, np.array(bounds, dtype=np.int64), nx * ny * nz,
+                        np.empty(n, dtype=np.intp))
 
 
 def _feature_map(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,

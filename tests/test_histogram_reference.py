@@ -1,4 +1,4 @@
-"""The dense joint histogram against a per-voxel Python reference.
+"""The joint histogram against a per-voxel Python reference.
 
 The reference groups points by floor index in a dict, takes each voxel's
 two-pass population variance (or point count) in cloud order with plain
@@ -9,10 +9,14 @@ region one by one, the no-feature cell (0, 0) included.
 from __future__ import annotations
 
 import math
+from operator import gt
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import voxmi.mi as stages
 
 from voxmi import (
     NO_OVERLAP_SENTINEL,
@@ -35,6 +39,7 @@ from voxmi import (
     overlap_voxel_count,
     voxelize,
 )
+from voxmi.mi import PreparedScan
 from voxmi.voxel import INDEX_MAX, INDEX_MIN
 
 NEAR = st.floats(-6.0, 6.0)
@@ -167,3 +172,50 @@ def test_histogram_matches_per_voxel_reference(seed, n_a, n_b, pose, grid,
         assert after is None
     else:
         np.testing.assert_array_equal(after, before)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 150),
+       n_b=st.integers(1, 150), pose=st.builds(EulerPose, NEAR, NEAR,
+                                               st.floats(-2.0, 2.0), ANGLE,
+                                               ANGLE, ANGLE),
+       grid=GRIDS, kind=st.sampled_from(list(FeatureKind)),
+       shifts=st.lists(st.tuples(*[st.integers(-3, 3)] * 6), min_size=1,
+                       max_size=3))
+def test_histogram_of_any_region_matches_the_reference(seed, n_a, n_b, pose,
+                                                       grid, kind, shifts):
+    """Regions are A's box with each face moved by up to 3 cells: inside
+    it, so that B voxels in A's box fall outside the region, or past it,
+    where region cells count as A's bin 0.  B is binned over its own box
+    and, for regions inside A's box, as an evaluation bins it, over A's
+    padded box.  Several regions in turn share A's cached counts."""
+    rng = np.random.default_rng(seed)
+    scan_a, scan_b = lattice_cloud(rng, n_a), lattice_cloud(rng, n_b)
+    spec = BinningSpec(kind=kind)
+    transform = euler_to_transform(pose)
+    feat_a = compute_feature_map(voxelize(scan_a, grid), scan_a, kind)
+    moved_b = apply_transform(scan_b, transform)
+    feat_b = compute_feature_map(voxelize(moved_b, grid), moved_b, kind)
+    ref_a = reference_features(scan_a, grid, kind)
+    ref_b = reference_features(moved_b, grid, kind)
+    prepared = PreparedScan(feat_a, scan_b, grid, spec)
+    prepared_map = None
+    if not any(map(gt, *compute_overlap(feat_a.bounds, feat_b.bounds))):
+        stages.apply_transform(prepared, transform)
+        prepared_map = stages.compute_feature_map(prepared,
+                                                  stages.voxelize(prepared))
+    for shift in shifts:
+        region = feat_a.bounds + np.array([shift[:3], shift[3:]])
+        if (region[0] > region[1]).any():
+            with pytest.raises(EmptyOverlapError):
+                build_joint_histogram(feat_a, feat_b, region, spec)
+            continue
+        expected = reference_counts(ref_a, ref_b, region, spec)
+        hist = build_joint_histogram(feat_a, feat_b, region, spec)
+        np.testing.assert_array_equal(hist.counts, expected)
+        assert hist.total == overlap_voxel_count(region) == expected.sum()
+        inside = ((region[0] >= feat_a.bounds[0]).all()
+                  and (region[1] <= feat_a.bounds[1]).all())
+        if prepared_map is not None and inside:
+            hist = build_joint_histogram(feat_a, prepared_map, region, spec)
+            np.testing.assert_array_equal(hist.counts, expected)
