@@ -101,8 +101,9 @@ class PerturbationSpec:
 @dataclass
 class TrialRecord:
     """One perturb-and-align trial; the fields are the ``trials.csv`` columns.
-    A failed align ends at its start transform after 0 iterations, and its
-    ``wall_s`` is the time ``align`` ran before it raised."""
+    ``wall_s`` times the whole ``align`` call, featurizing scan A included,
+    whether it returns or raises.  A failed align ends at its start
+    transform after 0 iterations."""
 
     magnitude: float
     trial: int
@@ -285,11 +286,10 @@ def _run_trial(magnitude: float, trial: int, dt: float, dtheta: float,
         report = align(scan_a, scan_b, t0, cfg)
     except VoxmiError:
         final_t, iters, converged = t0, 0, False
-        wall_s = time.perf_counter() - start
     else:
-        final_t, iters, wall_s = (report.estimated, report.iterations,
-                                  report.wall_time)
+        final_t, iters = report.estimated, report.iterations
         converged = report.termination in ("converged_f", "converged_x")
+    wall_s = time.perf_counter() - start
     init_rot = rotation_error(t0, truth_t)
     final_rot = rotation_error(final_t, truth_t)
     return TrialRecord(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import ge, gt, le, sub
+from operator import gt, sub
 
 import numpy as np
 
@@ -125,8 +125,9 @@ def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> tuple:
     """Scan A's bins times ``bin_count + 1`` over its box padded by one cell
     per side, so that adding the other scan's bin gives a cell's pair index;
     the pad holds ``(bin_count + 1) ** 2``, so its pairs land past every
-    histogram cell.  Returned with A's box, the padded box, and A's counts
-    per region already counted, keyed by the region's mins and maxs:
+    histogram cell, and an evaluation's B cells index it as they are.
+    Returned with A's box, the padded box, and A's counts per region
+    already counted, keyed by the region's mins and maxs:
     ``(raster, box, padded, regions)``.
 
     Made once per spec and cached on the feature map, so scan A is binned
@@ -182,30 +183,23 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
     map's occupied box are unoccupied in that map.  Only B's occupied
     voxels in the region are counted one by one; B's column 0 is then A's
     counts over the region (cached per region) less each row's B voxels.
+    An evaluation's own B map and (mins, maxs) tuple region need no region
+    test (:class:`PreparedScan`), so A's raster is read straight at B's
+    cells; any other map or region keeps B's voxels in the region first.
     """
     if feat_a.kind is not spec.kind or feat_b.kind is not spec.kind:
         raise ValueError("feature maps and binning spec must share one kind")
-    region = _corners(region)
-    if any(map(gt, *region)):
-        raise EmptyOverlapError("overlap region is empty")
-    box_shape(region)
     width = spec.bin_count + 1
     entry = _pair_raster(feat_a, spec)
     raster, box, padded, _ = entry
     pairs = _bins(feat_b.values, spec, raster.dtype)
-    if feat_b.bounds is padded and all(map(ge, region[0], box[0])) \
-            and all(map(le, region[1], box[1])):
-        # B's cells index the padded raster, whose pad pairs fall past every
-        # histogram cell; A's cells off the region, if any, are padded too
-        lut = raster
-        if region != box:
-            lut = raster.copy()
-            for axis, (r0, r1, p0) in enumerate(zip(*region, padded[0])):
-                lut[(slice(None),) * axis + (slice(r0 - p0),)] = width * width
-                lut[(slice(None),) * axis + (slice(r1 - p0 + 1, None),)] = \
-                    width * width
-        pairs += lut.ravel()[feat_b.cells]
+    if feat_b.bounds is padded and type(region) is tuple:
+        pairs += raster.ravel()[feat_b.cells]
     else:
+        region = _corners(region)
+        if any(map(gt, *region)):
+            raise EmptyOverlapError("overlap region is empty")
+        box_shape(region)
         ijk = feat_b.voxels()
         keep = ((ijk >= region[0]) & (ijk <= region[1])).all(axis=1)
         ijk, pairs = ijk[keep], pairs[keep]
@@ -287,8 +281,10 @@ class PreparedScan:
     over A's box padded by one cell per side, ``box``, fixed for the scan's
     life, so B's cells index A's pair raster directly; only A's box is
     checked against the dense-grid limit, so no pose of B can raise
-    BoxTooLargeError.  After :meth:`split`, the one thread of an executor
-    moves the second half of B's points in every evaluation.
+    BoxTooLargeError.  The region, A's box cut by B's box before the clamp,
+    holds every B voxel of A's box and the clamp puts the rest in the pad,
+    so no B voxel is tested against the region.  After :meth:`split`, the
+    one thread of an executor moves the second half of B's points.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,

@@ -33,6 +33,7 @@ from voxmi import (
     compute_feature_map,
     compute_overlap,
     euler_to_transform,
+    inverse,
     joint_histogram_at,
     mi_objective,
     mutual_information,
@@ -172,6 +173,37 @@ def test_histogram_matches_per_voxel_reference(seed, n_a, n_b, pose, grid,
         assert after is None
     else:
         np.testing.assert_array_equal(after, before)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 150),
+       n_b=st.integers(1, 150),
+       grid=st.builds(GridSpec, st.sampled_from([1.0, 0.5, 0.75])),
+       kind=st.sampled_from(list(FeatureKind)),
+       shift=st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
+def test_swapping_the_scans_at_the_inverse_shift_transposes(seed, n_a, n_b,
+                                                            grid, kind,
+                                                            shift):
+    """At a whole-voxel x/y shift the grid lines of both scans agree, so
+    scoring A against B moved by T and B against A moved by T^-1 counts
+    the same voxel pairs, swapped.  Lattice points move and divide exactly,
+    and z stays put, so each voxel's features are the same floats."""
+    rng = np.random.default_rng(seed)
+    scan_a, scan_b = lattice_cloud(rng, n_a), lattice_cloud(rng, n_b)
+    spec = BinningSpec(kind=kind)
+    t = np.eye(4)
+    t[:2, 3] = np.array(shift) * grid.resolution
+    feats = [compute_feature_map(voxelize(s, grid), s, kind)
+             for s in (scan_a, scan_b)]
+    try:
+        hist = joint_histogram_at(feats[0], scan_b, t, grid, spec)
+    except EmptyOverlapError:
+        with pytest.raises(EmptyOverlapError):
+            joint_histogram_at(feats[1], scan_a, inverse(t), grid, spec)
+        return
+    swapped = joint_histogram_at(feats[1], scan_a, inverse(t), grid, spec)
+    np.testing.assert_array_equal(swapped.counts, hist.counts.T)
+    assert swapped.total == hist.total
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,11 +1,14 @@
-"""Trial rows: every ``trials.csv`` column, and the time of a failed trial."""
+"""Trial rows: every ``trials.csv`` column, and the span of a trial's time."""
 
 from __future__ import annotations
 
 import csv
 import math
+import time
 
 import numpy as np
+
+import voxmi.bench
 
 from voxmi import (
     TRIAL_CSV_HEADER,
@@ -64,3 +67,22 @@ def test_a_failed_trial_keeps_its_time():
         assert r.final_terr == r.init_terr
         assert r.wall_s > 0.0
     assert math.isfinite(runtime_invariance_check(records).ratio)
+
+
+def test_a_converged_trial_times_the_whole_align_call(monkeypatch):
+    """Its ``wall_s`` covers all of ``align``, like a failed trial's, not
+    only the search the report times."""
+    pause, reports = 0.2, []
+    real_align = voxmi.bench.align
+
+    def slow_align(*args):
+        time.sleep(pause)
+        reports.append(real_align(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(voxmi.bench, "align", slow_align)
+    scan = synth_scene(SceneSpec(seed=6, n_points=4000, n_structures=10))
+    pert = PerturbationSpec((1.0,), trials_per_magnitude=1, seed=1)
+    (r,) = run_benchmark(pert, pairs=[(scan, scan, np.eye(4))])
+    assert r.converged
+    assert r.wall_s >= pause + reports[0].wall_time
