@@ -4,19 +4,18 @@ Features of both scans inside the overlap region are binned into a 2D
 histogram whose bin 0 on each axis is reserved for the no-feature value of
 unoccupied voxels.  Every cell of the region is counted, so voxels empty in
 both scans land in cell (0, 0) and empty space contributes alignment
-evidence.  Scan A's bins form a dense raster over its box padded by one
-cell per side; its counts over a region are taken once per region and
-cached, and only scan B's occupied voxels are then counted one by one.
-Mutual information is H(X) + H(Y) - H(X, Y) in nats.  An evaluation runs
-on a :class:`PreparedScan`, which bins scan B over A's padded box, so B's
-cells index A's raster directly.
+evidence.  A caller's region is counted cell by cell.  An evaluation's
+own region, on a :class:`PreparedScan` that bins scan B over A's box padded
+by one cell per side, reads a raster of A's bins over that box straight at
+B's cells, with A's counts cached per region.  Mutual information is
+H(X) + H(Y) - H(X, Y) in nats.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import gt, sub
+from operator import gt
 
 import numpy as np
 
@@ -121,24 +120,28 @@ class MIResult:
     h_xy: float
 
 
+class _OwnRegion(tuple):
+    """An evaluation's (mins, maxs) region, A's box cut by moved B's box
+    before the clamp; only :meth:`PreparedScan.histogram` makes one."""
+
+
 def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> tuple:
     """Scan A's bins times ``bin_count + 1`` over its box padded by one cell
     per side, so that adding the other scan's bin gives a cell's pair index;
     the pad holds ``(bin_count + 1) ** 2``, so its pairs land past every
     histogram cell, and an evaluation's B cells index it as they are.
-    Returned with A's box, the padded box, and A's counts per region
-    already counted, keyed by the region's mins and maxs:
-    ``(raster, box, padded, regions)``.
+    Returned as ``(raster, padded, regions)``, with the padded box and A's
+    counts per region already counted, keyed by the region's mins and maxs.
 
     Made once per spec and cached on the feature map, so scan A is binned
-    once per run; a :class:`PreparedScan` makes it for its scan A up front.
+    once per run; only a :class:`PreparedScan` makes it, up front.
     """
     entry = feat.binned.get(spec)
     if entry is None:
         width = spec.bin_count + 1
         box = _corners(feat.bounds)
         padded = (tuple(v - 1 for v in box[0]), tuple(v + 1 for v in box[1]))
-        # no limit check: voxelize and PreparedScan check A's own box
+        # no limit check: PreparedScan checks A's own box
         dtype = np.min_scalar_type(width * width + spec.bin_count)
         core = np.zeros([hi - lo + 1 for lo, hi in zip(*box)], dtype=dtype)
         # a feature map holds finite values >= 0 only, so they bin unchecked
@@ -150,25 +153,22 @@ def _pair_raster(feat: FeatureMap, spec: BinningSpec) -> tuple:
         # A's counts over its own box, the most common region
         counts = np.bincount(bins, minlength=width)
         counts[0] = core.size - bins.size
-        entry = feat.binned[spec] = (raster, box, padded,
+        entry = feat.binned[spec] = (raster, padded,
                                      {(*box[0], *box[1]): counts})
     return entry
 
 
 def _region_counts(entry: tuple, region: tuple, width: int) -> np.ndarray:
-    """Scan A's bin counts over every cell of ``region``, cells past A's box
-    in bin 0; cached per region in ``entry``, :func:`_pair_raster`'s."""
-    raster, box, padded, regions = entry
+    """Scan A's bin counts over every cell of an evaluation's ``region``, in
+    A's box; cached per region in ``entry``, :func:`_pair_raster`'s."""
+    raster, padded, regions = entry
     key = (*region[0], *region[1])
     counts = regions.get(key)
     if counts is None:  # two threads may both count it: the counts agree
-        lo = [max(r, b) for r, b in zip(region[0], box[0])]
-        hi = [max(min(r, b) + 1, m) for r, b, m in zip(region[1], box[1], lo)]
-        view = raster[tuple(map(slice, map(sub, lo, padded[0]),
-                                map(sub, hi, padded[0])))]
+        view = raster[tuple(slice(lo - p, hi - p + 1)
+                            for lo, hi, p in zip(*region, padded[0]))]
         counts = np.bincount(view.ravel(),
                              minlength=width * width)[::width].copy()
-        counts[0] += overlap_voxel_count(region) - view.size
         regions[key] = counts
     return counts
 
@@ -180,37 +180,36 @@ def build_joint_histogram(feat_a: FeatureMap, feat_b: FeatureMap,
 
     Voxels occupied in one scan only pair with bin 0 on the other axis, and
     voxels occupied in neither land in cell (0, 0).  Region cells outside a
-    map's occupied box are unoccupied in that map.  Only B's occupied
-    voxels in the region are counted one by one; B's column 0 is then A's
-    counts over the region (cached per region) less each row's B voxels.
-    An evaluation's own B map and (mins, maxs) tuple region need no region
-    test (:class:`PreparedScan`), so A's raster is read straight at B's
-    cells; any other map or region keeps B's voxels in the region first.
+    map's box are unoccupied in that map.  A region, array or tuple, is
+    counted cell by cell, each cell's pair index A's bin times
+    ``bin_count + 1`` plus B's bin.  Only an evaluation's own region
+    (:class:`PreparedScan`) reads A's cached raster at B's cells instead,
+    with column 0 A's cached counts over the region less each row's B voxels.
     """
     if feat_a.kind is not spec.kind or feat_b.kind is not spec.kind:
         raise ValueError("feature maps and binning spec must share one kind")
     width = spec.bin_count + 1
-    entry = _pair_raster(feat_a, spec)
-    raster, box, padded, _ = entry
-    pairs = _bins(feat_b.values, spec, raster.dtype)
-    if feat_b.bounds is padded and type(region) is tuple:
+    if type(region) is _OwnRegion:
+        entry = _pair_raster(feat_a, spec)
+        raster = entry[0]
+        pairs = _bins(feat_b.values, spec, raster.dtype)
         pairs += raster.ravel()[feat_b.cells]
     else:
         region = _corners(region)
         if any(map(gt, *region)):
             raise EmptyOverlapError("overlap region is empty")
-        box_shape(region)
-        ijk = feat_b.voxels()
-        keep = ((ijk >= region[0]) & (ijk <= region[1])).all(axis=1)
-        ijk, pairs = ijk[keep], pairs[keep]
-        in_a = ((ijk >= box[0]) & (ijk <= box[1])).all(axis=1)
-        # a B voxel past A's box keeps pair index 0 * width + its bin
-        pairs[in_a] += raster.ravel()[np.ravel_multi_index(
-            (ijk[in_a] - padded[0]).T, raster.shape)]
+        cells = np.zeros(box_shape(region), dtype=np.int64)
+        for feat, scale in ((feat_a, width), (feat_b, 1)):
+            ijk = feat.voxels()
+            keep = ((ijk >= region[0]) & (ijk <= region[1])).all(axis=1)
+            bins = _bins(feat.values[keep], spec, np.int64)
+            cells[tuple((ijk[keep] - region[0]).T)] += bins * scale
+        pairs = cells.ravel()
     counts = np.bincount(pairs, minlength=width * width)[:width * width]
     counts = counts.reshape(width, width)
-    # every B bin is >= 1, so column 0 holds no B voxel yet
-    counts[:, 0] = _region_counts(entry, region, width) - counts.sum(axis=1)
+    if type(region) is _OwnRegion:
+        # every B bin is >= 1, so column 0 holds no B voxel yet
+        counts[:, 0] = _region_counts(entry, region, width) - counts.sum(axis=1)
     return JointHistogram(counts=counts, total=overlap_voxel_count(region),
                           spec=spec)
 
@@ -281,10 +280,11 @@ class PreparedScan:
     over A's box padded by one cell per side, ``box``, fixed for the scan's
     life, so B's cells index A's pair raster directly; only A's box is
     checked against the dense-grid limit, so no pose of B can raise
-    BoxTooLargeError.  The region, A's box cut by B's box before the clamp,
-    holds every B voxel of A's box and the clamp puts the rest in the pad,
-    so no B voxel is tested against the region.  After :meth:`split`, the
-    one thread of an executor moves the second half of B's points.
+    BoxTooLargeError.  Its own region, A's box cut by B's box before the
+    clamp, holds every B voxel of A's box and the clamp puts the rest in the
+    pad, so the histogram reads A's raster at B's cells with no region test.
+    After :meth:`split`, the one thread of an executor moves the second half
+    of B's points.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
@@ -295,7 +295,7 @@ class PreparedScan:
         if n == 0:
             raise ValueError("cannot voxelize an empty cloud")
         box_shape(feat_a.bounds)
-        raster, _, self.box, _ = _pair_raster(feat_a, spec)
+        raster, self.box, _ = _pair_raster(feat_a, spec)
         self.size = raster.size
         self.feat_a, self.grid, self.spec = feat_a, grid, spec
         self.points = cloud_b.points.T
@@ -383,7 +383,8 @@ class PreparedScan:
         Raises OutOfBoundsError when moved points leave the grid's index
         range and EmptyOverlapError when the boxes miss."""
         apply_transform(self, transform)
-        region = _corners(compute_overlap(self.feat_a.bounds, self.bounds))
+        region = _OwnRegion(_corners(
+            compute_overlap(self.feat_a.bounds, self.bounds)))
         if any(map(gt, *region)):
             raise EmptyOverlapError("scans do not overlap at this pose")
         feat_b = compute_feature_map(self, voxelize(self))

@@ -3,17 +3,16 @@
 A scan is dropped onto a shared cubic grid anchored at the frame origin;
 each occupied voxel gets one scalar feature (z-height variance or point
 count).  An index box is a (2, 3) [mins; maxs] of inclusive voxel index
-ranges: an int64 array in a public result or argument, a (mins, maxs)
-tuple of int tuples only inside an evaluation, whose own histogram region
-:func:`voxmi.mi.build_joint_histogram` tells by that form.  A point's
-voxel is a linear (C-order, x-major) cell index inside a box of cells: the
-scan's occupied box, or for a scan being scored
-(:class:`voxmi.mi.PreparedScan`) the other scan's occupied box padded by
-one cell per side.  One ``np.bincount`` over the box finds the occupied
-cells; per-voxel sums are then ``np.bincount`` over each point's slot
-among those cells, in point order.  A cell with no points carries the
-no-feature value.  A box of more than ``MAX_BOX_CELLS`` cells is refused
-with BoxTooLargeError before any dense array is allocated.
+ranges, an int64 array or a (mins, maxs) tuple of int tuples; a histogram
+counts any region in either form cell by cell, and only an evaluation's own
+region takes a faster route.  A point's voxel is a linear (C-order,
+x-major) cell index inside a box of cells: the scan's occupied box, or for
+a scan being scored (:class:`voxmi.mi.PreparedScan`) the other scan's
+occupied box padded by one cell per side.  One ``np.bincount`` over the box
+finds the occupied cells; per-voxel sums are then ``np.bincount`` over each
+point's slot among those cells, in point order.  A cell with no points
+carries the no-feature value.  A box of more than ``MAX_BOX_CELLS`` cells
+is refused with BoxTooLargeError before any dense array is allocated.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ class FeatureMap:
     ascending linear (C-order) indices of the occupied cells inside it and
     ``values`` their features.  Every other cell carries the no-feature
     value.  ``binned`` caches, per binning spec, the raster over the box
-    that :func:`voxmi.mi.build_joint_histogram` makes of scan A: each
-    cell's bin times ``bin_count + 1``.
+    that a :class:`voxmi.mi.PreparedScan` makes of scan A: each cell's bin
+    times ``bin_count + 1``.
     """
 
     kind: FeatureKind

@@ -112,6 +112,12 @@ class TestAlign:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_simplex_step_exits_one(self, scans, capsys):
+        code = main(["align", scans["a"], scans["a"], "--simplex", "1,x"])
+        assert code == 1
+        assert ("expected comma-separated numbers, got '1,x'"
+                in capsys.readouterr().err)
+
     def test_phi_off_without_co_occupied_voxels_names_the_reason(
             self, tmp_path, capsys):
         a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
@@ -336,6 +342,16 @@ class TestBenchmark:
                      "--tmags", "1", "--trials", "1"])
         assert code == 1
         assert "--poses" in capsys.readouterr().err
+
+    def test_kitti_dir_without_scans_is_an_error(self, tmp_path, capsys):
+        scan_dir = tmp_path / "kitti"
+        scan_dir.mkdir()
+        save_kitti_poses([np.eye(4), np.eye(4)], tmp_path / "poses.txt")
+        code = main(["benchmark", "--kitti-dir", str(scan_dir),
+                     "--poses", str(tmp_path / "poses.txt")])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: {scan_dir}: no .bin scans found\n")
 
 
 class TestParser:

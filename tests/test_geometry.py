@@ -205,6 +205,10 @@ class TestEulerPose:
         pose = EulerPose(rz=2 * math.pi + 0.25).normalized()
         assert pose.rz == pytest.approx(0.25, abs=1e-12)
 
+    def test_normalized_wraps_an_odd_half_turn_to_pi(self):
+        # remainder gives -pi, which lies outside (-pi, pi]
+        assert EulerPose(rx=3 * math.pi).normalized().rx == math.pi
+
     def test_normalized_is_noop_in_range(self):
         pose = EulerPose(1.5, -2.0, 0.1, -3.0, 0.5, 3.1)
         assert pose.normalized() == pose

@@ -13,7 +13,7 @@ from operator import gt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voxmi.mi as stages
@@ -214,13 +214,18 @@ def test_swapping_the_scans_at_the_inverse_shift_transposes(seed, n_a, n_b,
        grid=GRIDS, kind=st.sampled_from(list(FeatureKind)),
        shifts=st.lists(st.tuples(*[st.integers(-3, 3)] * 6), min_size=1,
                        max_size=3))
+# B's one voxel lies in A's box but past the region's top z face
+@example(seed=0, n_a=4, n_b=1, pose=EulerPose(), grid=GridSpec(0.25),
+         kind=FeatureKind.VARZ, shifts=[(0, 0, 0, 0, 0, -1)])
 def test_histogram_of_any_region_matches_the_reference(seed, n_a, n_b, pose,
                                                        grid, kind, shifts):
     """Regions are A's box with each face moved by up to 3 cells: inside
     it, so that B voxels in A's box fall outside the region, or past it,
     where region cells count as A's bin 0.  B is binned over its own box
     and, for regions inside A's box, as an evaluation bins it, over A's
-    padded box.  Several regions in turn share A's cached counts."""
+    padded box.  Each region is passed as an int64 array and as a
+    (mins, maxs) tuple of ints.  Several regions in turn share A's cached
+    counts."""
     rng = np.random.default_rng(seed)
     scan_a, scan_b = lattice_cloud(rng, n_a), lattice_cloud(rng, n_b)
     spec = BinningSpec(kind=kind)
@@ -243,11 +248,15 @@ def test_histogram_of_any_region_matches_the_reference(seed, n_a, n_b, pose,
                 build_joint_histogram(feat_a, feat_b, region, spec)
             continue
         expected = reference_counts(ref_a, ref_b, region, spec)
-        hist = build_joint_histogram(feat_a, feat_b, region, spec)
-        np.testing.assert_array_equal(hist.counts, expected)
-        assert hist.total == overlap_voxel_count(region) == expected.sum()
         inside = ((region[0] >= feat_a.bounds[0]).all()
                   and (region[1] <= feat_a.bounds[1]).all())
+        maps = [feat_b]
         if prepared_map is not None and inside:
-            hist = build_joint_histogram(feat_a, prepared_map, region, spec)
-            np.testing.assert_array_equal(hist.counts, expected)
+            maps.append(prepared_map)
+        as_tuple = tuple(tuple(int(v) for v in row) for row in region)
+        for feat in maps:
+            for form in (region, as_tuple):
+                hist = build_joint_histogram(feat_a, feat, form, spec)
+                np.testing.assert_array_equal(hist.counts, expected)
+                assert hist.total == overlap_voxel_count(region)
+        assert expected.sum() == overlap_voxel_count(region)

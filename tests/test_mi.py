@@ -303,6 +303,13 @@ class TestBuildJointHistogram:
         assert hist.total == overlap_voxel_count(region)
         assert hist.counts.sum() == hist.total
 
+    def test_a_callers_region_caches_nothing_on_scan_a(self):
+        feat_a = feature_map({(0, 0, 0): 0.5, (2, 1, 0): 1.0})
+        feat_b = feature_map({(1, 0, 0): 0.5})
+        for region in (box([0, 0, 0], [2, 1, 0]), ((0, 0, 0), (1, 1, 0))):
+            build_joint_histogram(feat_a, feat_b, region, VARZ_SPEC)
+        assert feat_a.binned == {}
+
     def test_empty_region_raises(self):
         feat = feature_map({(0, 0, 0): 1.0})
         with pytest.raises(EmptyOverlapError):
@@ -359,6 +366,15 @@ class TestMIObjective:
                                    FeatureKind.VARZ)
         mi = mi_objective(feat, cloud, EulerPose(tx=3e6), grid, VARZ_SPEC)
         assert mi == NO_OVERLAP_SENTINEL
+
+    def test_empty_scan_b_propagates(self):
+        cloud = self.make_scene(seed=64, n=500)
+        grid = GridSpec()
+        feat = compute_feature_map(voxelize(cloud, grid), cloud,
+                                   FeatureKind.VARZ)
+        with pytest.raises(ValueError, match="cannot voxelize an empty cloud"):
+            mi_objective(feat, PointCloud(np.zeros((0, 3))), EulerPose(),
+                         grid, VARZ_SPEC)
 
 
 class TestOccupiedCorrelation:

@@ -1,5 +1,5 @@
 """The package's public names, no configuration through the environment,
-and no unused import."""
+no unused import, and one maker of an evaluation's histogram region."""
 
 from __future__ import annotations
 
@@ -55,3 +55,26 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.relative_to(package)}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused
+
+
+def test_only_an_evaluation_makes_its_own_region():
+    """The histogram's fast route trusts a region of type ``_OwnRegion`` to
+    be A's box cut by moved B's box, so only ``voxmi/mi.py`` names that
+    type, and only ``PreparedScan.histogram`` makes one, once."""
+    package = Path(voxmi.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.rglob("*.py"))}
+    named = {name for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if "_OwnRegion" in {getattr(node, field, None)
+                                 for field in ("id", "attr", "name")}}
+    assert named == {"mi.py"}
+    made = [node for node in ast.walk(trees["mi.py"])
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_OwnRegion"]
+    histogram, = [func for cls in trees["mi.py"].body
+                  if isinstance(cls, ast.ClassDef)
+                  and cls.name == "PreparedScan"
+                  for func in cls.body
+                  if getattr(func, "name", None) == "histogram"]
+    assert len(made) == 1 and made[0] in ast.walk(histogram)

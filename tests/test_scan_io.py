@@ -172,6 +172,32 @@ class TestPlyAscii:
         with pytest.raises(FormatError):
             load_ply_ascii(path)
 
+    def test_comment_in_the_header_is_skipped(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text("ply\nformat ascii 1.0\ncomment made by hand\n"
+                        "element vertex 1\nproperty float x\n"
+                        "property float y\nproperty float z\nend_header\n"
+                        "1 2 3\n")
+        np.testing.assert_array_equal(load_ply_ascii(path).points,
+                                      [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("header, line, reason", [
+        ("element vertex two\nend_header\n", 3,
+         "malformed element: 'element vertex two'"),
+        ("element vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\nelement face 2\nend_header\n", 7,
+         "unsupported non-empty element 'face'"),
+        ("end_header\n", 3, "no vertex element declared"),
+        ("element vertex 1\nproperty float x\nproperty float y\n"
+         "end_header\n", 6, "vertex element lacks property 'z'"),
+    ])
+    def test_bad_header_names_the_line(self, tmp_path, header, line, reason):
+        path = tmp_path / "h.ply"
+        path.write_text("ply\nformat ascii 1.0\n" + header + "1 2 3\n")
+        with pytest.raises(FormatError) as err:
+            load_ply_ascii(path)
+        assert str(err.value) == f"{path}, line {line}: {reason}"
+
 
 class TestScanDispatch:
     def test_extension_dispatch(self, tmp_path):
@@ -197,6 +223,13 @@ class TestScanDispatch:
         with pytest.raises(FormatError):
             load_scan(path)
 
+    def test_unknown_format_name_is_a_format_error(self, tmp_path):
+        path = tmp_path / "scan.xyz"
+        path.write_text("1 2 3\n")
+        with pytest.raises(FormatError) as err:
+            load_scan(path, "foo")
+        assert str(err.value) == f"{path}: unknown scan format 'foo'"
+
 
 class TestKittiPoses:
     def test_identity_line(self, tmp_path):
@@ -212,6 +245,19 @@ class TestKittiPoses:
         with pytest.raises(FormatError) as err:
             load_kitti_poses(path)
         assert err.value.line == 1
+
+    def test_blank_lines_only_hold_no_poses(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text("\n  \n\n")
+        with pytest.raises(FormatError) as err:
+            load_kitti_poses(path)
+        assert str(err.value) == f"{path}: pose file contains no poses"
+
+    def test_track_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"expected \(M, 4, 4\) pose array, "
+                                 r"got \(2, 3, 4\)"):
+            PoseTrack(np.zeros((2, 3, 4)))
 
     def test_translation_only_pose_is_stable(self, tmp_path):
         path = tmp_path / "poses.txt"
