@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from voxmi import (
     write_summary_csv,
     write_trials_csv,
 )
+from voxmi.bench import _cdf_index, _scene_surfaces, _surface_counts
 
 FAST_CFG = AlignmentConfig(
     simplex=SimplexConfig(initial_steps=(4.0, 4.0, 0.5, 0.05, 0.05, 0.2),
@@ -149,6 +151,101 @@ def test_scenes_match_the_per_surface_reference_bit_for_bit(
         assert got.shape == (n_points, 3)
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+def cdf_of(area) -> np.ndarray:
+    """The normalized cdf ``Generator.choice`` searches for ``p=area /
+    area.sum()``."""
+    area = np.asarray(area, dtype=np.float64)
+    cdf = (area / area.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def scene_area(spec: SceneSpec) -> np.ndarray:
+    layout = np.random.SeedSequence(spec.seed).spawn(3)[0]
+    return _scene_surfaces(spec, np.random.default_rng(layout))[-1]
+
+
+def around(values: np.ndarray) -> np.ndarray:
+    """Each value and its float neighbours, kept inside [0, 1)."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.concatenate([values, np.nextafter(values, -np.inf),
+                          np.nextafter(values, np.inf)])
+    return out[(out >= 0.0) & (out < 1.0)]
+
+
+# Every bucket edge j / K of every power-of-two table size K <= 2**17 is a
+# multiple of 2**-17; scene tables stay below that.
+BUCKET_EDGES = np.arange(2**17) / 2**17
+CHOSEN_CDFS = {
+    "urban": cdf_of(scene_area(SceneSpec(seed=0))),
+    "wide": cdf_of(scene_area(SceneSpec(seed=0, extent=160.0,
+                                        n_points=120_000,
+                                        n_structures=640))),
+    "ground only": cdf_of([1600.0]),
+    "zero areas": cdf_of([0.0, 0.0, 3.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0]),
+    "a zero-area tail": cdf_of([5.0, 1.0, 0.0, 0.0]),
+    "equal thirds": cdf_of([1.0, 1.0, 1.0]),
+    "one tiny surface": cdf_of([1.0, 1e-12, 1.0]),
+    # ten entries in one bucket: ten steps, under the cutoff of 12
+    "a crowd the step-up takes": cdf_of([1e12] + [2.0] * 10),
+    # more entries in one bucket than the step-up takes
+    "tiny surfaces beside a huge one": cdf_of([1e12] + [2.0] * 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOSEN_CDFS))
+def test_cdf_index_matches_searchsorted_at_every_boundary(name):
+    cdf = CHOSEN_CDFS[name]
+    assert len(cdf) * 8 <= 2**17
+    u = np.concatenate([around(cdf), around(BUCKET_EDGES),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    got = _cdf_index(cdf, u)
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_points=st.integers(1, 2000),
+       area=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                     min_size=1, max_size=300)
+       .filter(lambda a: sum(a) > 0))
+def test_surface_counts_equal_choice_and_leave_the_stream_in_step(
+        seed, n_points, area):
+    area = np.array(area)
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _surface_counts(area, n_points, mine)
+    want = np.bincount(theirs.choice(len(area), size=n_points,
+                                     p=area / area.sum()),
+                       minlength=len(area))
+    np.testing.assert_array_equal(got, want)
+    assert mine.random() == theirs.random()
+
+
+def test_a_scene_whose_area_overflows_is_refused():
+    with pytest.raises(ValueError, match="surface areas"):
+        synth_scene(SceneSpec(extent=1e200, n_points=10))
+
+
+# sha256 of both clouds' point bytes, recorded with the per-surface
+# ``rng.choice`` and ``rng.normal`` sampler; every panel digest rests on them
+SCENE_SHA256 = [
+    ({"seed": 0},
+     "8eff826cb87a38f3c0b47601870990ab8ec3e6c33953a77d44aaf0315673f9f1"),
+    ({"seed": 0, "extent": 160.0, "n_points": 120_000, "n_structures": 640},
+     "79b5b25acee5e3a8d82e8bddd575e6bcc4e34e7c3db49825ce37df7284a1220b"),
+    ({"seed": 3, "n_points": 300, "n_structures": 4, "noise_sigma": 0.0},
+     "a4d1062973b294fbea82a6fb7eead3c76aeaab8a07971b93b074b72bdc5e67e4"),
+]
+
+
+@pytest.mark.parametrize("fields,digest", SCENE_SHA256)
+def test_scene_pair_bytes_are_pinned(fields, digest):
+    h = hashlib.sha256()
+    for cloud in synth_scene_pair(SceneSpec(**fields)):
+        h.update(cloud.points.tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestPerturbPose:

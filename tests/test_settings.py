@@ -16,6 +16,7 @@ from voxmi import (
     PointCloud,
     SceneSpec,
     SimplexConfig,
+    synth_scene,
 )
 from voxmi import cli
 
@@ -40,6 +41,25 @@ SETTINGS = {
 def test_a_non_finite_setting_is_refused_by_name(field, value):
     with pytest.raises(ValueError, match=field):
         SETTINGS[field](value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.0), ("seed", True), ("seed", -1), ("seed", "3"),
+    ("n_points", 1e4), ("n_points", 5000.0), ("n_points", True),
+    ("n_points", np.float64(100)), ("n_points", 0),
+    ("n_structures", 2.0), ("n_structures", False), ("n_structures", -1),
+])
+def test_a_bad_scene_integer_is_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        SceneSpec(**{field: value})
+
+
+def test_numpy_integers_make_the_same_scene_as_python_integers():
+    spec = SceneSpec(seed=np.uint32(7), n_points=np.int64(500),
+                     n_structures=np.int16(3))
+    want = SceneSpec(seed=7, n_points=500, n_structures=3)
+    np.testing.assert_array_equal(synth_scene(spec).points,
+                                  synth_scene(want).points)
 
 
 def test_synth_with_a_non_finite_extent_exits_one(tmp_path, capsys):
