@@ -14,6 +14,7 @@ H(X) + H(Y) - H(X, Y) in nats.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from operator import gt
 
@@ -22,6 +23,8 @@ import numpy as np
 from .errors import EmptyOverlapError, OutOfBoundsError
 from .geometry import EulerPose, PointCloud, euler_to_transform, validate_transform
 from .voxel import (
+    INDEX_MAX,
+    INDEX_MIN,
     FeatureKind,
     FeatureMap,
     GridSpec,
@@ -31,6 +34,7 @@ from .voxel import (
     _count_cells,
     _feature_map,
     _floor_rows,
+    _xy_index,
     box_shape,
     compute_overlap,
     overlap_voxel_count,
@@ -269,22 +273,35 @@ def mutual_information(hist: JointHistogram,
     return MIResult(mi=mi, h_x=h_x, h_y=h_y, h_xy=h_xy)
 
 
+def _clamp(rows, lo, hi, mins, maxs) -> None:
+    """Clamp each of the floored ``rows``, whose bounds are ``lo`` and
+    ``hi``, into its range of ``mins`` to ``maxs``, where it leaves it."""
+    for row, low, high, p, q in zip(rows, lo, hi, mins, maxs):
+        if low < p:
+            np.maximum(row, p, out=row)
+        if high > q:
+            np.minimum(row, q, out=row)
+
+
 class PreparedScan:
     """Scan B laid out once for evaluations against scan A's feature map.
 
     ``points`` is B as a (3, N) view of its own (N, 3) array, not a copy.
-    Every evaluation refills the same per-point buffers ``rows``, ``cell``,
-    ``z`` and ``slot`` (the last two for VARZ only), so concurrent evaluations
-    each need their own prepared scan.  They may share ``feat_a``: its pair
-    raster is cached here, so no evaluation writes it.  An evaluation bins B
-    over A's box padded by one cell per side, ``box``, fixed for the scan's
-    life, so B's cells index A's pair raster directly; only A's box is
-    checked against the dense-grid limit, so no pose of B can raise
-    BoxTooLargeError.  Its own region, A's box cut by B's box before the
-    clamp, holds every B voxel of A's box and the clamp puts the rest in the
-    pad, so the histogram reads A's raster at B's cells with no region test.
-    After :meth:`split`, the one thread of an executor moves the second half
-    of B's points.
+    Every evaluation refills one (3, N) float64 block, ``rows``: 24 bytes a
+    point of B, for either feature kind.  Row 2 holds moved z in metres.
+    Row 0 holds x, then the x and y part of each cell index, then VARZ's
+    deviations.  Row 1 holds y, then floor(z / resolution), then, as the
+    int view ``cell``, each point's cell, over which VARZ's slots are
+    written.  So concurrent evaluations each need their own prepared scan.
+    They may share ``feat_a``: its pair raster is cached here, so no
+    evaluation writes it.  An evaluation bins B over A's box padded by one
+    cell per side, ``box``, fixed for the scan's life, so B's cells index
+    A's pair raster directly; only A's box is checked against the
+    dense-grid limit, so no pose of B can raise BoxTooLargeError.  Its own
+    region, A's box cut by B's box before the clamp, holds every B voxel of
+    A's box and the clamp puts the rest in the pad, so the histogram reads
+    A's raster at B's cells with no region test.  After :meth:`split`, the
+    one thread of an executor moves the second half of B's points.
     """
 
     def __init__(self, feat_a: FeatureMap, cloud_b: PointCloud,
@@ -299,20 +316,19 @@ class PreparedScan:
         self.size = raster.size
         self.feat_a, self.grid, self.spec = feat_a, grid, spec
         self.points = cloud_b.points.T
-        self.rows, self.cell = np.empty((3, n)), np.empty(n, dtype=np.intp)
+        self.rows = np.empty((3, n))
         self.row = tuple(self.rows)  # its rows as views, made once
-        self.z, self.slot = ((np.empty(n), np.empty(n, dtype=np.intp))
-                             if spec.kind is FeatureKind.VARZ else (None, None))
+        self.cell = self.row[1].view(np.intp)
         self.whole, self.halves, self.helper = self._part(0, n), None, None
 
     def __len__(self) -> int:
         return self.points.shape[1]
 
     def _part(self, lo: int, hi: int) -> tuple:
-        """Views of points ``lo`` to ``hi`` in every per-point array."""
+        """Views of points ``lo`` to ``hi`` in the points and ``rows``."""
         rows = self.rows[:, lo:hi]
-        return (lo, self.points[:, lo:hi], rows, tuple(rows),
-                self.cell[lo:hi], None if self.z is None else self.z[lo:hi])
+        return (lo, self.points[:, lo:hi], rows, rows[:2], tuple(rows),
+                self.cell[lo:hi])
 
     def split(self, helper) -> None:
         """From now on, while ``helper`` is set, let the one thread of that
@@ -329,23 +345,38 @@ class PreparedScan:
     def _move(self, t: np.ndarray, part: tuple) -> tuple[list, list]:
         """:meth:`apply_transform` of the points of one :meth:`_part`;
         returns their index box before the clamp."""
-        first, points, rows, row, cell, z = part
+        first, points, rows, xy, (x, y, z), cell = part
         # a GEMM on the transposed view, bit for bit the product that
         # ``geometry.apply_transform`` makes, with no copy of the scan
         np.matmul(t[:3, :3], points, out=rows)
         rows += t[:3, 3:]
-        if z is not None:
-            np.copyto(z, row[2])
-        if self.grid.resolution != 1.0:
-            rows /= self.grid.resolution
-        lo, hi = _floor_rows(
-            rows, lambda i: t[:3, :3] @ points[:, i] + t[:3, 3], first)
-        for x, low, high, p, q in zip(row, lo, hi, *self.box):
-            if low < p:
-                np.maximum(x, p, out=x)
-            if high > q:
-                np.minimum(x, q, out=x)
-        _cell_index(row, self.box, cell)
+        resolution = self.grid.resolution
+        if resolution != 1.0:
+            xy /= resolution
+        # floor and division by the resolution keep the order of values, so
+        # the bounds of the floored rows are the floored bounds
+        lo = np.minimum.reduce(rows, axis=1).tolist()
+        hi = np.maximum.reduce(rows, axis=1).tolist()
+        lo[2] /= resolution
+        hi[2] /= resolution
+        # floor(v) leaves [INDEX_MIN, INDEX_MAX] iff v does [INDEX_MIN,
+        # INDEX_MAX + 1)
+        if min(lo) < INDEX_MIN or max(hi) >= INDEX_MAX + 1:
+            # nothing is spent yet: with z divided too, the rows are the
+            # grid coordinates, which name the first offending point
+            if resolution != 1.0:
+                z /= resolution
+            _floor_rows(
+                rows, lambda i: t[:3, :3] @ points[:, i] + t[:3, 3], first)
+        lo, hi = list(map(math.floor, lo)), list(map(math.floor, hi))
+        np.floor(xy, out=xy)
+        _clamp((x, y), lo, hi, *self.box)
+        _xy_index(x, y, self.box)
+        # y is spent: it takes z's floor, then the cells
+        np.floor(np.divide(z, resolution, out=y) if resolution != 1.0 else z,
+                 out=y)
+        _clamp((y,), lo[2:], hi[2:], self.box[0][2:], self.box[1][2:])
+        _cell_index(x, y, self.box, cell)
         return lo, hi
 
     def apply_transform(self, t: np.ndarray) -> None:
@@ -370,13 +401,19 @@ class PreparedScan:
 
     def voxelize(self) -> VoxelIndexMap:
         """Count moved B's points per cell of ``box``, from the cells of the
-        last :meth:`apply_transform`; a cell's points are in point order."""
-        return _count_cells(self.cell, self.box, self.size, self.slot)
+        last :meth:`apply_transform`; a cell's points are in point order.
+        VARZ's slots are written over the cells, which no later stage
+        reads."""
+        varz = self.spec.kind is FeatureKind.VARZ
+        return _count_cells(self.cell, self.box, self.size,
+                            self.cell if varz else None)
 
     def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
-        """Features of the voxels of the last :meth:`voxelize`; the spent
-        ``rows[0]`` holds the deviations."""
-        return _feature_map(voxel_map, self.z, self.spec.kind, self.row[0])
+        """Features of the voxels of the last :meth:`voxelize`, at the
+        moved heights ``rows[2]``; the spent ``rows[0]`` holds the
+        deviations."""
+        return _feature_map(voxel_map, self.row[2], self.spec.kind,
+                            self.row[0])
 
     def histogram(self, transform: np.ndarray) -> JointHistogram:
         """Joint histogram at the rigid ``transform`` (not validated).

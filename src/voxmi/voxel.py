@@ -10,8 +10,10 @@ x-major) cell index inside a box of cells: the scan's occupied box, or for
 a scan being scored (:class:`voxmi.mi.PreparedScan`) the other scan's
 occupied box padded by one cell per side.  One ``np.bincount`` over the box
 finds the occupied cells; per-voxel sums are then ``np.bincount`` over each
-point's slot among those cells, in point order.  A cell with no points
-carries the no-feature value.  A box of more than ``MAX_BOX_CELLS`` cells
+point's slot among those cells, in point order.  The slots are written
+over the cell indices, in the one point array that held them (for a scan
+being scored, a row of its (3, N) float block viewed as ints).  A cell
+with no points carries the no-feature value.  A box of more than ``MAX_BOX_CELLS`` cells
 is refused with BoxTooLargeError before any dense array is allocated.
 """
 
@@ -173,17 +175,25 @@ def _floor_rows(rows: np.ndarray, point, first: int = 0
     return [int(v) for v in lo], [int(v) for v in hi]
 
 
-def _cell_index(rows, box, cell: np.ndarray) -> None:
-    """Write the linear cells in ``box`` of floored (3, N) ``rows`` (or its
-    3 rows), which it uses up, into ``cell``."""
-    (x0, y0, z0), (x1, y1, z1) = _corners(box)
-    ny, nz = y1 - y0 + 1, z1 - z0 + 1
+def _xy_index(x: np.ndarray, y: np.ndarray, box) -> None:
+    """Turn floored ``x`` into ``x * ny * nz + y * nz``, the part of the
+    linear cells in ``box`` that floored ``y`` completes; ``y`` is used up."""
+    (_, y0, z0), (_, y1, z1) = _corners(box)
+    nz = z1 - z0 + 1
     # every term is an integer below 2**44, so the float arithmetic is exact
-    np.multiply(rows[0], ny * nz, out=rows[0])
-    np.multiply(rows[1], nz, out=rows[1])
-    np.add(rows[0], rows[1], out=rows[0])
-    np.add(rows[0], rows[2], out=rows[0])
-    np.subtract(rows[0], (x0 * ny + y0) * nz + z0, out=cell, casting="unsafe")
+    np.multiply(x, (y1 - y0 + 1) * nz, out=x)
+    np.multiply(y, nz, out=y)
+    np.add(x, y, out=x)
+
+
+def _cell_index(xy: np.ndarray, z: np.ndarray, box, cell: np.ndarray) -> None:
+    """Write the linear cells in ``box`` of :func:`_xy_index`'s ``xy`` and
+    floored ``z`` into ``cell``; ``xy`` is used up, and ``cell`` may be
+    ``z``'s own memory."""
+    (x0, y0, z0), (_, y1, z1) = _corners(box)
+    np.add(xy, z, out=xy)
+    np.subtract(xy, (x0 * (y1 - y0 + 1) + y0) * (z1 - z0 + 1) + z0, out=cell,
+                casting="unsafe")
 
 
 def _count_cells(cell: np.ndarray, box, size: int,
@@ -194,7 +204,9 @@ def _count_cells(cell: np.ndarray, box, size: int,
     occupied = np.flatnonzero(per_cell > 0)
     counts = per_cell[occupied]
     if slot is not None:
-        # reuse the one box-sized array as the cell -> slot table
+        # reuse the one box-sized array as the cell -> slot table; ``take``
+        # reads each index before writing its slot, so ``slot`` may be
+        # ``cell`` itself
         per_cell[occupied] = np.arange(occupied.size)
         np.take(per_cell, cell, out=slot, mode="clip")
     return VoxelIndexMap(slot=slot, occupied=occupied, counts=counts,
@@ -229,9 +241,11 @@ def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
     rows, bounds = _floored(cloud, grid)
     nx, ny, nz = box_shape(bounds)  # refuses a box past the dense-grid limit
     cell = np.empty(n, dtype=np.intp)
-    _cell_index(rows, bounds, cell)
+    _xy_index(rows[0], rows[1], bounds)
+    _cell_index(rows[0], rows[2], bounds, cell)
+    # the slots are written over the cells, which are then spent
     return _count_cells(cell, np.array(bounds, dtype=np.int64), nx * ny * nz,
-                        np.empty(n, dtype=np.intp))
+                        cell)
 
 
 def _feature_map(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,

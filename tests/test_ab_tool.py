@@ -163,3 +163,42 @@ def test_a_run_whose_check_failed_is_kept(tmp_path):
     silent = fake_checkout(tmp_path / "c", "", 1)
     with pytest.raises(RuntimeError, match="exited 1: CHECK FAILED"):
         ab.run_perfbench(silent, args)
+
+
+PRINTED = "\n".join([
+    'provenance {"nproc": 2}',
+    "align.call_s.p50 0.41250000000000003 s",
+    "pose.final_terr_m 0.5213 m",
+    "pose.final_rerr_deg 0.61 deg",
+    "pose.failed_frac 0.09375 ratio",
+    "setup_s 0.0185 s",
+    "evals_per_s 798.6 1/s",
+    "panel_digest ab12 (first 32 calls)",
+    "{}",
+])
+
+
+def test_parse_printed_reads_the_pose_and_latency_lines_only():
+    assert ab.parse_printed(PRINTED) == {
+        "align.call_s.p50": 0.41250000000000003, "pose.final_terr_m": 0.5213,
+        "pose.final_rerr_deg": 0.61, "pose.failed_frac": 0.09375}
+    assert ab.parse_printed(fake_stdout(0.02)) == {"pose.final_terr_m": 0.1}
+    assert ab.parse_printed("setup_s 0.02 s\n{}") == {}
+
+
+def test_printed_lines_are_kept_per_side_outside_every_gain_rule(tmp_path):
+    args = ab.argparse.Namespace(workload="w", seed=1, seconds=1.0,
+                                 held_out=False)
+    run = ab.run_perfbench(fake_checkout(tmp_path, fake_stdout(0.02), 0),
+                           args)
+    assert run["printed"] == {"pose.final_terr_m": 0.1}
+    runs = {"parent": [{"printed": {"pose.failed_frac": v,
+                                    "align.call_s.p50": 0.4}}
+                       for v in (0.25, 0.0, 0.125)],
+            "change": [{"printed": {"pose.failed_frac": v}}
+                       for v in (0.0, 0.0, 0.5)]}
+    got = ab.printed_summary(runs)
+    assert got["pose.failed_frac"] == {
+        "parent": {"median": 0.125, "values": [0.25, 0.0, 0.125]},
+        "change": {"median": 0.0, "values": [0.0, 0.0, 0.5]}}
+    assert got["align.call_s.p50"]["change"] == {"median": None, "values": []}

@@ -294,6 +294,29 @@ def test_one_evaluation_allocates_less_than_one_point_array(kind,
     assert peak < 8 * len(scan_b)
 
 
+@pytest.mark.parametrize("kind", list(FeatureKind))
+def test_a_prepared_scan_holds_24_bytes_per_point(kind):
+    """Guards the layout of scan B's per-point state: one (3, N) float64
+    block, whose rows an evaluation reuses for the moved coordinates, the
+    cells, the slots and the deviations, for either feature kind.  With
+    A's raster already cached, making a prepared scan allocates 24 bytes
+    per point of B and a small constant, not one more point array."""
+    from voxmi.mi import PreparedScan
+
+    scan_a, scan_b = synth_scene_pair(SceneSpec(seed=11))
+    cfg = AlignmentConfig(feature=kind)
+    feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a, kind)
+    PreparedScan(feat_a, scan_b, cfg.grid, cfg.binning)  # caches A's raster
+    tracemalloc.start()
+    try:
+        prepared = PreparedScan(feat_a, scan_b, cfg.grid, cfg.binning)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prepared) == len(scan_b) == 50_000
+    assert peak <= 24 * len(scan_b) + 4096
+
+
 def test_concurrent_aligns_match_serial_runs():
     scan_a, b_world = synth_scene_pair(SceneSpec(seed=12, n_points=6000,
                                                  n_structures=20))

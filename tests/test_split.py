@@ -41,7 +41,8 @@ from voxmi import (
     sweep_axis,
     synth_scene_pair,
 )
-from voxmi.mi import PreparedScan
+from voxmi.mi import MIResult, PreparedScan
+from voxmi.voxel import INDEX_MAX, INDEX_MIN
 
 STAGES = ("apply_transform", "voxelize", "compute_feature_map",
           "compute_overlap", "build_joint_histogram", "mutual_information")
@@ -71,12 +72,12 @@ def counted_pools(monkeypatch, align_module) -> list:
     return made
 
 
-def run_both(monkeypatch, align_module, call):
-    """``call()`` on one usable CPU, then split on four; both outcomes
-    (a value, or the type and message of the error) and the split run's
-    executors."""
+def run_both(monkeypatch, align_module, call, split_cpus: int = 4):
+    """``call()`` on one usable CPU, then split on ``split_cpus``; both
+    outcomes (a value, or the type and message of the error) and the split
+    run's executors."""
     outcomes = []
-    for n_cpus, split_points in ((1, 10 ** 9), (4, 0)):
+    for n_cpus, split_points in ((1, 10 ** 9), (split_cpus, 0)):
         cpus(monkeypatch, n_cpus)
         monkeypatch.setattr(align_module, "SPLIT_POINTS", split_points)
         pools = counted_pools(monkeypatch, align_module)
@@ -173,6 +174,107 @@ def test_split_out_of_bounds_errors_name_the_serial_point(n, far,
     assert f"point {far[0] % n} at" in serial[1]
     assert split == serial
     assert pools[0].submits == 1
+
+
+def grid_points(n: int) -> np.ndarray:
+    """``n`` points on short steps of 0.5, 0.25 and 0.125 m, so that an
+    error message prints them exactly."""
+    i = np.arange(n)
+    return np.stack([0.5 * (i % 5) - 1.0, 0.25 * (i % 7) - 0.5,
+                     0.125 * (i % 3)], axis=1)
+
+
+# id: (points, pose, resolution, feature, {point: (axis, metres)}, message);
+# the messages were recorded when each point was moved and floored on all
+# three axes before any was checked
+ACROSS_AXES = {
+    "z-only-first": (
+        9, EulerPose(tz=1e5), 1.0, "varz", {0: (2, 1e6)},
+        "point 0 at [-1.0e+00 -5.0e-01  1.1e+06] maps to voxel index "
+        "[     -1      -1 1100000] outside [-1048576, 1048575]"),
+    "z-only-second-half": (
+        9, EulerPose(tz=1e5), 1.0, "varz", {7: (2, 1e6)},
+        "point 7 at [ 0.0e+00 -5.0e-01  1.1e+06] maps to voxel index "
+        "[      0      -1 1100000] outside [-1048576, 1048575]"),
+    "z-only-below-count": (
+        301, EulerPose(tz=-1e5), 1.0, "count", {200: (2, -1e6)},
+        "point 200 at [-1.0e+00  5.0e-01 -1.1e+06] maps to voxel index "
+        "[      -1        0 -1100000] outside [-1048576, 1048575]"),
+    "z-then-x-across-halves": (
+        9, EulerPose(tx=1e5, tz=1e5), 1.0, "varz",
+        {1: (2, 1e6), 6: (0, 1e6)},
+        "point 1 at [ 9.99995e+04 -2.50000e-01  1.10000e+06] maps to voxel "
+        "index [  99999      -1 1100000] outside [-1048576, 1048575]"),
+    "z-then-x-first-half-count": (
+        9, EulerPose(tx=1e5, tz=1e5), 1.0, "count",
+        {0: (2, 1e6), 2: (0, 1e6)},
+        "point 0 at [ 9.9999e+04 -5.0000e-01  1.1000e+06] maps to voxel "
+        "index [  99999      -1 1100000] outside [-1048576, 1048575]"),
+    "z-then-x-second-half-rolled": (
+        301, EulerPose(tx=1e5, tz=1e5, rx=0.01), 1.0, "varz",
+        {160: (2, 1e6), 290: (0, 1e6)},
+        "point 160 at [  99999.           -9998.83338417 1099950.0104165 ] "
+        "maps to voxel index [  99999   -9999 1099950] outside "
+        "[-1048576, 1048575]"),
+    "x-then-z": (
+        9, EulerPose(tx=1e5, tz=1e5), 1.0, "varz",
+        {1: (0, 1e6), 6: (2, 1e6)},
+        "point 1 at [ 1.10000000e+06 -2.50000000e-01  1.00000125e+05] maps "
+        "to voxel index [1100000      -1  100000] outside "
+        "[-1048576, 1048575]"),
+    "varz-half-metre": (
+        9, EulerPose(), 0.5, "varz", {3: (2, 6e5), 7: (0, 6e5)},
+        "point 3 at [5.0e-01 2.5e-01 6.0e+05] maps to voxel index "
+        "[      1       0 1200000] outside [-1048576, 1048575]"),
+    "z-on-the-upper-edge": (
+        9, EulerPose(), 1.0, "varz", {4: (2, 1048576.0)},
+        "point 4 at [1.000000e+00 5.000000e-01 1.048576e+06] maps to voxel "
+        "index [      1       0 1048576] outside [-1048576, 1048575]"),
+    "x-below-the-lower-edge-count": (
+        9, EulerPose(), 1.0, "count", {5: (0, -1048576.5)},
+        "point 5 at [-1.0485765e+06  7.5000000e-01  2.5000000e-01] maps to "
+        "voxel index [-1048577        0        0] outside "
+        "[-1048576, 1048575]"),
+}
+
+
+@pytest.mark.parametrize("case", list(ACROSS_AXES))
+def test_out_of_bounds_errors_name_the_first_point_on_any_axis(
+        case, monkeypatch, align_module):
+    """z leaving the index range alone, before x leaves at a later point,
+    after it, and only once divided by a 0.5 m voxel: serial and split on
+    two CPUs, the error names the first offending point in point order,
+    with its pinned message."""
+    n, pose, resolution, kind, far, message = ACROSS_AXES[case]
+    points = grid_points(n)
+    for k, (axis, metres) in far.items():
+        points[k, axis] = metres
+    cfg = AlignmentConfig(feature=FeatureKind(kind),
+                          grid=GridSpec(resolution))
+    (serial, split), pools = run_both(
+        monkeypatch, align_module,
+        lambda: mi_at(block(50, 0), PointCloud(points), pose, cfg),
+        split_cpus=2)
+    assert serial == (OutOfBoundsError, message)
+    assert split == serial
+    assert pools[0].submits == 1
+
+
+@pytest.mark.parametrize("resolution", [1.0, 0.5])
+def test_points_on_the_index_edges_are_scored(resolution, monkeypatch,
+                                              align_module):
+    """A point whose z floors to INDEX_MAX and one whose x is INDEX_MIN
+    voxels exactly stay on the grid, serial and split on two CPUs."""
+    points = grid_points(9)
+    points[4, 2] = (INDEX_MAX + 0.5) * resolution
+    points[5, 0] = INDEX_MIN * resolution
+    cfg = AlignmentConfig(grid=GridSpec(resolution))
+    (serial, split), _ = run_both(
+        monkeypatch, align_module,
+        lambda: mi_at(block(50, 0), PointCloud(points), EulerPose(), cfg),
+        split_cpus=2)
+    assert isinstance(serial, MIResult) and serial.mi > 0.0
+    assert split == serial
 
 
 @pytest.mark.parametrize("n", [4, 7, 9])

@@ -8,17 +8,20 @@ Usage, from anywhere:
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Pair i runs
 ``perfbench/run.py --trace 0`` once in each, parent first when i is even and
 change first when i is odd, so drift on a shared host falls on both sides.
-From each run the script reads three lines of standard output: the
-``provenance`` line (the machine block), the ``panel_digest`` line and the
-last line, perfbench's JSON summary; a run that exits 1 (an output check
-failed) is kept, with ``correct: false``.  It writes
+From each run the script reads these lines of standard output: the
+``provenance`` line (the machine block), the ``panel_digest`` line, the
+``pose.*`` and ``align.call_s.p50`` lines (pose quality over the panel calls
+and the median call's wall time, which ``--trace 0`` prints but leaves out of
+the JSON) and the last line, perfbench's JSON summary; a run that exits 1
+(an output check failed) is kept, with ``correct: false``.  It writes
 ``D/BENCH_<workload>-seed<seed>[-heldout].json``: per end-to-end metric of
 CHANGE_DIR's BENCHMARK.json, each side's values with their median and
 quartiles, the pairs the change won (ties count for neither side) and
 whether a gain holds: the change won at least nine tenths of the pairs, its
 median beat the parent's by more than the parent's q75 - q25, every change
 run was correct, and the change runs failed no more calls in all than the
-parent runs.
+parent runs.  Under ``printed`` it keeps each side's values and median of
+every pose and latency line; no gain rule reads them.
 """
 
 from __future__ import annotations
@@ -86,6 +89,34 @@ def parse_run(stdout: str) -> dict:
             "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
 
 
+def parse_printed(stdout: str) -> dict[str, float]:
+    """The ``pose.*`` and ``align.call_s.p50`` lines of one perfbench run,
+    ``name value unit``, as {name: value}."""
+    printed = {}
+    for line in stdout.splitlines():
+        name, _, rest = line.partition(" ")
+        if name.startswith("pose.") or name == "align.call_s.p50":
+            printed[name] = float(rest.split()[0])
+    return printed
+
+
+def printed_summary(runs: dict[str, list[dict]]) -> dict:
+    """Each side's values and median of every printed line of its runs,
+    ``runs[side][i]["printed"]``, by name."""
+    names = dict.fromkeys(name for side in SIDES for r in runs[side]
+                          for name in r["printed"])
+    out = {}
+    for name in names:
+        out[name] = {}
+        for side in SIDES:
+            values = [r["printed"][name] for r in runs[side]
+                      if name in r["printed"]]
+            out[name][side] = {
+                "median": statistics.median(values) if values else None,
+                "values": values}
+    return out
+
+
 def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """Every end-to-end metric compared over the pairs, plus each side's
     machine block (from its first run), digests and outcomes.
@@ -123,7 +154,8 @@ def run_perfbench(checkout: Path, args) -> dict:
     # exit 1 is a failed output check, and the summary still ends the output
     if done.returncode in (0, 1):
         try:
-            return parse_run(done.stdout)
+            return {**parse_run(done.stdout),
+                    "printed": parse_printed(done.stdout)}
         except (ValueError, KeyError):
             pass
     raise RuntimeError(f"{checkout}: {' '.join(cmd[1:])} exited "
@@ -166,6 +198,7 @@ def main(argv=None) -> int:
         "held_out": args.held_out, "seconds": args.seconds,
         "pairs": args.pairs, "order": "parent first in even pairs",
         **summarize(runs, spec["end_to_end"]),
+        "printed": printed_summary(runs),
     }
     out = args.out_dir / f"BENCH_{label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
@@ -175,6 +208,9 @@ def main(argv=None) -> int:
               f"{c['median']:.6g} [{c['q25']:.6g}, {c['q75']:.6g}], change "
               f"better in {m['change_won']}/{m['pairs']}, gain holds: "
               f"{m['gain_holds']}")
+    for name, m in result["printed"].items():
+        print(f"{name}: {m['parent']['median']!r} -> {m['change']['median']!r}"
+              " (medians)")
     print(f"digests equal: {result['digests_equal']}; wrote {out}")
     return 0
 
