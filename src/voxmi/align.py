@@ -26,7 +26,6 @@ from .geometry import (
     PointCloud,
     euler_to_transform,
     transform_to_euler,
-    validate_transform,
 )
 from .mi import (
     NO_OVERLAP_SENTINEL,
@@ -41,10 +40,6 @@ from .optim import OptimResult, SimplexConfig, nelder_mead_maximize
 from .voxel import FeatureKind, GridSpec, compute_feature_map, voxelize
 
 SWEEP_AXES = ("tx", "ty", "tz", "rx", "ry", "rz")
-# Most threads a sweep scores its poses on, the calling thread included.
-# On 2 cores, two run an 81-pose 50k-point count sweep x1.24 as fast as one:
-# 2/1.24 - 1 = 61% holds the GIL; a third adds little but a copy of B's rows.
-SWEEP_THREADS = 2
 # Fewest points of scan B for which one evaluation moves half of them on the
 # second thread.  On 2 cores (one BLAS thread) a handoff, two thread wake-ups,
 # costs about 0.3 ms, so a split evaluation lost below 60k points and won
@@ -120,7 +115,10 @@ class _Objective(PreparedScan):
     executor whose thread starts on first use.  That thread scores every
     other pose of a multi-pose :meth:`score_all`, and, for a scan B of
     ``SPLIT_POINTS`` points or more, moves the second half of B's points in
-    each one-pose evaluation (:meth:`PreparedScan.split`).
+    each one-pose evaluation (:meth:`PreparedScan.split`).  Two threads, not
+    more: on 2 cores they run an 81-pose 50k-point count sweep x1.24 as fast
+    as one, so 2/1.24 - 1 = 61% of an evaluation holds the GIL, and a third
+    thread would add little but a copy of B's rows.
     """
 
     def __init__(self, scan_a: PointCloud, scan_b: PointCloud,
@@ -133,7 +131,7 @@ class _Objective(PreparedScan):
         self.scan_b, self.phi = scan_b, cfg.phi_enabled
         self.pool = self.pair = None  # pair: the thread's own prepared scan
         if _usable_cpus() > 1:
-            self.pool = ThreadPoolExecutor(SWEEP_THREADS - 1)
+            self.pool = ThreadPoolExecutor(1)
             if len(self) >= max(SPLIT_POINTS, 4):
                 self.split(self.pool)
 
@@ -190,11 +188,11 @@ class _Objective(PreparedScan):
 
     def _score_into(self, scan: PreparedScan, poses: list[EulerPose],
                     slots: list, first: int) -> None:
-        """Score poses ``first``, ``first + SWEEP_THREADS``, ... on ``scan``
-        into ``slots``: neighbouring poses, which cost about the same, go to
-        different threads.  Stops at the first error, stored in its slot,
+        """Score poses ``first``, ``first + 2``, ... on ``scan`` into
+        ``slots``: neighbouring poses, which cost about the same, go to the
+        two threads.  Stops at the first error, stored in its slot,
         so every pose before the earliest failing one is scored."""
-        for i in range(first, len(poses), SWEEP_THREADS):
+        for i in range(first, len(poses), 2):
             try:
                 slots[i] = mi_objective(self.feat_a, scan, poses[i],
                                         self.grid, self.spec,
@@ -213,7 +211,6 @@ def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
     pose gave none.
     """
     cfg = cfg or AlignmentConfig()
-    t0 = validate_transform(t0)
     initial_pose = transform_to_euler(t0)
     with _Objective(scan_a, scan_b, cfg) as objective:
         start = time.perf_counter()

@@ -267,12 +267,19 @@ def _sample_surfaces(surfaces, n_points: int, noise_sigma: float,
     return PointCloud(points)
 
 
+def _synth_clouds(spec: SceneSpec, count: int) -> list[PointCloud]:
+    """The first ``count`` (1 or 2) samplings of the scene ``spec`` lays
+    out, each from its own stream of the seed."""
+    layout_seq, *sample_seqs = np.random.SeedSequence(spec.seed).spawn(3)
+    surfaces = _scene_surfaces(spec, np.random.default_rng(layout_seq))
+    return [_sample_surfaces(surfaces, spec.n_points, spec.noise_sigma,
+                             np.random.default_rng(seq))
+            for seq in sample_seqs[:count]]
+
+
 def synth_scene(spec: SceneSpec) -> PointCloud:
     """Deterministic synthetic scan of the scene described by ``spec``."""
-    layout_seq, sample_seq, _ = np.random.SeedSequence(spec.seed).spawn(3)
-    surfaces = _scene_surfaces(spec, np.random.default_rng(layout_seq))
-    return _sample_surfaces(surfaces, spec.n_points, spec.noise_sigma,
-                            np.random.default_rng(sample_seq))
+    return _synth_clouds(spec, 1)[0]
 
 
 def synth_scene_pair(spec: SceneSpec) -> tuple[PointCloud, PointCloud]:
@@ -281,13 +288,7 @@ def synth_scene_pair(spec: SceneSpec) -> tuple[PointCloud, PointCloud]:
     The first cloud equals ``synth_scene(spec)``; the second stands in for a
     scan of the same environment from another vantage.
     """
-    layout_seq, sample_a, sample_b = np.random.SeedSequence(spec.seed).spawn(3)
-    surfaces = _scene_surfaces(spec, np.random.default_rng(layout_seq))
-    cloud_a = _sample_surfaces(surfaces, spec.n_points, spec.noise_sigma,
-                               np.random.default_rng(sample_a))
-    cloud_b = _sample_surfaces(surfaces, spec.n_points, spec.noise_sigma,
-                               np.random.default_rng(sample_b))
-    return cloud_a, cloud_b
+    return tuple(_synth_clouds(spec, 2))
 
 
 def perturb_pose(truth: EulerPose, dt: float, dtheta_deg: float,

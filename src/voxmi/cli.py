@@ -54,8 +54,6 @@ from .scan_io import (
 )
 from .voxel import FeatureKind, GridSpec
 
-_ROTATION_AXES = ("rx", "ry", "rz")
-
 
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
@@ -179,7 +177,7 @@ def _cmd_sweep(args) -> int:
     base_pose = transform_to_euler(base_t)
     lo, hi = args.range
     cli_values = np.linspace(lo, hi, args.steps)
-    rotational = args.axis in _ROTATION_AXES
+    rotational = args.axis in SWEEP_AXES[3:]
     values = np.radians(cli_values) if rotational else cli_values
     curve = sweep_axis(scan_a, scan_b, base_pose, args.axis, values, cfg)
     unit = "deg" if rotational else "m"

@@ -77,9 +77,7 @@ def bin_feature(value: float | None, spec: BinningSpec) -> int:
         return 0
     if not np.isfinite(value) or value < 0:
         raise ValueError(f"feature value must be finite and >= 0, got {value}")
-    b = spec.bin_count
-    # clamped as a float: a huge value scales to inf, which int() refuses
-    return 1 + int(min(b - 1, value / spec.upper_clamp * b))
+    return int(_bins(np.array([value], dtype=np.float64), spec, np.int64)[0])
 
 
 def bin_features(values: np.ndarray, spec: BinningSpec) -> np.ndarray:
@@ -411,9 +409,11 @@ class PreparedScan:
     def compute_feature_map(self, voxel_map: VoxelIndexMap) -> FeatureMap:
         """Features of the voxels of the last :meth:`voxelize`, at the
         moved heights ``rows[2]``; the spent ``rows[0]`` holds the
-        deviations."""
+        deviations.  A variance past the largest float raises ValueError
+        naming the voxel only inside A's box: no histogram reads a pad
+        cell's feature."""
         return _feature_map(voxel_map, self.row[2], self.spec.kind,
-                            self.row[0])
+                            self.row[0], self.feat_a.bounds)
 
     def histogram(self, transform: np.ndarray) -> JointHistogram:
         """Joint histogram at the rigid ``transform`` (not validated).

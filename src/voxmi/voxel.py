@@ -133,10 +133,19 @@ class FeatureMap:
         # two reductions: a nan fails either comparison
         values = self.values
         if values.size and not (values.min() >= 0 and values.max() < np.inf):
-            k = int(np.flatnonzero(~((values >= 0) & (values < np.inf)))[0])
-            voxel = tuple(int(i) for i in self.voxels()[k])
+            self._refuse_in(self.bounds)
+
+    def _refuse_in(self, box) -> None:
+        """Raise ValueError naming the first voxel of the index ``box``
+        whose feature is not finite and >= 0; return if there is none."""
+        values, ijk = self.values, self.voxels()
+        lo, hi = _corners(box)
+        bad = ~((values >= 0) & (values < np.inf))
+        bad &= ((ijk >= lo) & (ijk <= hi)).all(axis=1)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
             raise ValueError(f"features must be finite and >= 0; voxel "
-                             f"{voxel} has {float(values[k])}")
+                             f"{tuple(ijk[k].tolist())} has {float(values[k])}")
 
     def __len__(self) -> int:
         return self.cells.shape[0]
@@ -148,7 +157,15 @@ class FeatureMap:
 
     def value_for(self, ijk) -> float | None:
         """Feature of one voxel, or None for an unoccupied (no-feature) voxel."""
-        return self.as_dict().get(tuple(int(i) for i in np.ravel(ijk)))
+        ijk = np.ravel(ijk).astype(np.int64)
+        lo, hi = np.array(_corners(self.bounds))
+        if ijk.shape != (3,) or (ijk < lo).any() or (ijk > hi).any():
+            return None
+        cell = np.ravel_multi_index(tuple(ijk - lo), tuple(hi - lo + 1))
+        k = int(np.searchsorted(self.cells, cell))
+        if k < len(self.cells) and self.cells[k] == cell:
+            return float(self.values[k])
+        return None
 
     def as_dict(self) -> dict[tuple[int, int, int], float]:
         return {tuple(int(i) for i in ijk): float(v)
@@ -249,9 +266,10 @@ def voxelize(cloud: PointCloud, grid: GridSpec) -> VoxelIndexMap:
 
 
 def _feature_map(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,
-                 dev: np.ndarray) -> FeatureMap:
+                 dev: np.ndarray, box) -> FeatureMap:
     """Feature map of the points at heights ``z`` (``dev``: scratch as long),
-    run through the constructor's check only where it can fail: overflow."""
+    run through the constructor's check only where it can fail, overflow,
+    and only on the voxels of the index ``box``."""
     counts, slot = voxel_map.counts, voxel_map.slot
     if kind is FeatureKind.COUNT:
         values = counts.astype(np.float64)
@@ -267,7 +285,7 @@ def _feature_map(voxel_map: VoxelIndexMap, z: np.ndarray, kind: FeatureKind,
     feat.__dict__.update(kind=kind, cells=voxel_map.occupied, values=values,
                          bounds=voxel_map.bounds, binned={})
     if kind is FeatureKind.VARZ and not np.maximum.reduce(values) < np.inf:
-        feat.__post_init__()  # refuses it, naming the voxel
+        feat._refuse_in(box)
     return feat
 
 
@@ -286,7 +304,7 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
             f"voxel map covers {voxel_map.slot.size} points, cloud has {len(cloud)}"
         )
     return _feature_map(voxel_map, cloud.points[:, 2], kind,
-                        np.empty(len(cloud)))
+                        np.empty(len(cloud)), voxel_map.bounds)
 
 
 def compute_overlap(bounds_a, bounds_b) -> np.ndarray:

@@ -405,6 +405,20 @@ class TestRunBenchmark:
             assert a.iters == b.iters
             assert a.converged == b.converged
 
+    def test_verbose_prints_one_line_per_trial(self, capsys):
+        scan = synth_scene(SceneSpec(seed=7, n_points=2000, n_structures=5))
+        pert = PerturbationSpec(translation_magnitudes=(1.0, 2.0),
+                                trials_per_magnitude=2, seed=5)
+        cfg = AlignmentConfig(simplex=SimplexConfig(max_iterations=5))
+        records = run_benchmark(pert, cfg=cfg, pairs=[(scan, scan, np.eye(4))],
+                                verbose=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(records) == 4
+        for line, r in zip(lines, records):
+            assert line.startswith(f"magnitude {r.magnitude:g} trial "
+                                   f"{r.trial}: terr ")
+            assert f" {r.iters} iters, " in line
+
     def test_empty_schedule_writes_header_only_csvs(self, tmp_path):
         pert = PerturbationSpec(translation_magnitudes=(),
                                 rotation_magnitudes=())

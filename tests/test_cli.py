@@ -20,7 +20,7 @@ from voxmi import (
     synth_scene,
     synth_scene_pair,
 )
-from voxmi.cli import main
+from voxmi.cli import _kitti_pairs, build_parser, main
 
 TRUE_YAW_DEG = 10.0
 SMALL_SIMPLEX = "2,2,0.5,0.05,0.05,0.2"
@@ -352,6 +352,33 @@ class TestBenchmark:
         assert code == 1
         assert (capsys.readouterr().err
                 == f"error: {scan_dir}: no .bin scans found\n")
+
+    def test_kitti_dir_with_one_scan_is_an_error(self, tmp_path, capsys):
+        scan_dir = tmp_path / "kitti"
+        scan_dir.mkdir()
+        save_scan(PointCloud(np.zeros((3, 3))), scan_dir / "000000.bin")
+        save_kitti_poses([np.eye(4), np.eye(4)], tmp_path / "poses.txt")
+        code = main(["benchmark", "--kitti-dir", str(scan_dir),
+                     "--poses", str(tmp_path / "poses.txt")])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: not enough scans for a single pair\n")
+
+    def test_max_pairs_below_the_pairs_available_stops_early(self, tmp_path):
+        scan_dir = tmp_path / "kitti"
+        scan_dir.mkdir()
+        poses = []
+        for i in range(4):
+            save_scan(PointCloud(np.full((3, 3), float(i))),
+                      scan_dir / f"{i:06d}.bin")
+            poses.append(euler_to_transform(EulerPose(tx=float(i * i))))
+        save_kitti_poses(poses, tmp_path / "poses.txt")
+        args = build_parser().parse_args(
+            ["benchmark", "--kitti-dir", str(scan_dir),
+             "--poses", str(tmp_path / "poses.txt"), "--max-pairs", "2"])
+        pairs = _kitti_pairs(args)
+        assert [(a.points[0, 0], b.points[0, 0], t[0, 3])
+                for a, b, t in pairs] == [(0.0, 1.0, 1.0), (1.0, 2.0, 3.0)]
 
 
 class TestParser:

@@ -119,6 +119,13 @@ class TestValidateTransform:
         t[0, 0] = 1.0 + 4e-10
         validate_transform(t)
 
+    def test_rejects_non_finite_entry(self):
+        t = np.eye(4)
+        t[1, 3] = np.nan
+        with pytest.raises(ValueError,
+                           match="^transform contains non-finite entries$"):
+            validate_transform(t)
+
 
 class TestApplyTransform:
     def test_identity_preserves_cloud(self):
@@ -212,3 +219,14 @@ class TestEulerPose:
     def test_normalized_is_noop_in_range(self):
         pose = EulerPose(1.5, -2.0, 0.1, -3.0, 0.5, 3.1)
         assert pose.normalized() == pose
+
+    def test_rejects_non_finite_component(self):
+        with pytest.raises(ValueError, match=r"^pose has non-finite "
+                           r"component: \(0\.0, 0\.0, 0\.0, 0\.0, inf, "
+                           r"0\.0\)$"):
+            EulerPose(ry=math.inf)
+
+    def test_from_vector_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^pose vector must have 6 "
+                           r"entries, got \(5,\)$"):
+            EulerPose.from_vector(np.zeros(5))

@@ -76,6 +76,20 @@ class TestBinning:
         assert bin_feature(63.9, spec) == 32
         assert bin_feature(2.0, spec) == 2
 
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    def test_scalar_bin_is_the_linear_formula(self, kind):
+        """``1 + int(min(b - 1, v / clamp * b))`` at 0, on both sides of
+        every bin edge, at the clamp, above it and at 1e308."""
+        spec = BinningSpec(kind=kind)
+        b, clamp = spec.bin_count, spec.upper_clamp
+        values = [0.0, clamp, 1.5 * clamp, 1e308]
+        for k in range(1, b + 1):
+            edge = k * clamp / b
+            values += [float(np.nextafter(edge, 0.0)), edge,
+                       float(np.nextafter(edge, np.inf))]
+        for v in values:
+            assert bin_feature(v, spec) == 1 + int(min(b - 1, v / clamp * b))
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(50)
         values = rng.uniform(0, 3, size=500)
@@ -234,6 +248,12 @@ class TestMutualInformation:
         assert mutual_information(hist_from_counts(counts)).mi >= 0.0
         with pytest.raises(EmptyOverlapError, match="occupied in both"):
             mutual_information(hist_from_counts(counts), include_phi=False)
+
+    def test_negative_count_rejected(self):
+        counts = np.ones((3, 3), dtype=np.int64)
+        counts[2, 1] = -1
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            mutual_information(hist_from_counts(counts))
 
 
 class TestBuildJointHistogram:
@@ -423,3 +443,10 @@ class TestHistogramCsv:
         back, meta = read_histogram_csv(path)
         np.testing.assert_array_equal(back, counts[1:, 1:])
         assert meta["phi"] == "excluded"
+
+    def test_file_without_a_header_line_is_refused(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(ValueError) as exc:
+            read_histogram_csv(path)
+        assert str(exc.value) == f"{path}: missing histogram header line"

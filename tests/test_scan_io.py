@@ -190,6 +190,9 @@ class TestPlyAscii:
         ("end_header\n", 3, "no vertex element declared"),
         ("element vertex 1\nproperty float x\nproperty float y\n"
          "end_header\n", 6, "vertex element lacks property 'z'"),
+        ("element vertex 1\nproperty float x\nproperty int y\n"
+         "property float z\nend_header\n", 5,
+         "unsupported vertex property: 'property int y'"),
     ])
     def test_bad_header_names_the_line(self, tmp_path, header, line, reason):
         path = tmp_path / "h.ply"

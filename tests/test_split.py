@@ -280,10 +280,11 @@ def test_points_on_the_index_edges_are_scored(resolution, monkeypatch,
 @pytest.mark.parametrize("n", [4, 7, 9])
 def test_split_overflow_names_the_serial_voxel(n, monkeypatch, align_module):
     """B's first and last points, 1e160 m apart in z and so one in each
-    half, share a 1e200 m voxel whose variance overflows; the others
-    overlap A's box."""
+    half, share a 1e200 m voxel of A's box whose variance overflows; the
+    others overlap A's box."""
     cfg = AlignmentConfig(grid=GridSpec(resolution=1e200))
-    scan_a = PointCloud(np.array([[0.0, 0.0, 0.0], [3.5e200, 0.5e200, 0.0]]))
+    scan_a = PointCloud(np.array([[0.0, 0.0, 0.0], [3.5e200, 0.5e200, 0.0],
+                                  [0.0, -0.5e200, 0.0]]))
     points = np.zeros((n, 3))
     points[1::2] = (3.5e200, 0.5e200, 0.0)
     points[[0, -1]] = [(2.5e200, -0.5e200, 0.0), (2.5e200, -0.5e200, 1e160)]

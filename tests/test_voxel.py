@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from voxmi import (
     BinningSpec,
     BoxTooLargeError,
     FeatureKind,
+    FeatureMap,
     GridSpec,
     OutOfBoundsError,
     PointCloud,
@@ -128,6 +130,41 @@ class TestVoxelize:
         with pytest.raises(ValueError):
             voxelize(PointCloud(np.zeros((0, 3))), GridSpec())
 
+    def test_empty_cloud_has_no_indices(self):
+        ijk = voxel_indices(PointCloud(np.zeros((0, 3))), GridSpec())
+        assert ijk.shape == (0, 3) and ijk.dtype == np.int64
+
+
+class TestInputChecks:
+    def test_unknown_feature_kind_is_named(self):
+        with pytest.raises(ValueError, match="^unknown feature kind 'var'; "
+                           "expected 'varz' or 'count'$"):
+            FeatureKind.from_name("var")
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.5])
+    def test_resolution_must_be_positive(self, resolution):
+        with pytest.raises(ValueError, match=f"^grid resolution must be > 0, "
+                           f"got {resolution}$"):
+            GridSpec(resolution)
+
+    def test_box_must_be_two_by_three(self):
+        with pytest.raises(ValueError, match=r"^bounds must be \(2, 3\) "
+                           r"\[mins; maxs\] arrays$"):
+            box_shape(np.zeros((3, 2), dtype=np.int64))
+
+    def test_feature_map_cells_and_values_must_match(self):
+        with pytest.raises(ValueError, match="^cells and values must have "
+                           "matching shapes$"):
+            FeatureMap(FeatureKind.COUNT, np.arange(3), np.ones(2),
+                       bounds([0] * 3, [2, 0, 0]))
+
+    def test_feature_map_of_another_clouds_voxel_map_is_refused(self):
+        cloud = PointCloud(np.random.default_rng(47).uniform(size=(5, 3)))
+        vmap = voxelize(PointCloud(cloud.points[:4]), GridSpec())
+        with pytest.raises(ValueError, match="^voxel map covers 4 points, "
+                           "cloud has 5$"):
+            compute_feature_map(vmap, cloud, FeatureKind.COUNT)
+
 
 class TestFeatureMaps:
     def test_two_point_variance(self):
@@ -164,6 +201,11 @@ class TestFeatureMaps:
             np.testing.assert_allclose(got[key], np.var(zs), atol=1e-12)
             assert feat.value_for(key) == got[key]
         assert feat.value_for(feat.bounds[1] + 1) is None
+        assert feat.value_for(feat.bounds[0] - [0, 1, 0]) is None
+        lo, hi = feat.bounds.tolist()
+        cells = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        empty = next(ijk for ijk in cells if ijk not in members)
+        assert feat.value_for(empty) is None
 
     def test_varz_never_negative_on_tight_clusters(self):
         rng = np.random.default_rng(45)
