@@ -222,7 +222,13 @@ def _kitti_pairs(args):
     files = sorted(Path(args.kitti_dir).glob("*.bin"))
     if not files:
         raise FormatError(args.kitti_dir, "no .bin scans found")
-    n = min(len(files), len(track))
+    n = len(files)
+    counts = (f"{args.kitti_dir}: {n} .bin scans and {len(track)} poses in "
+              f"{args.poses}, at stride {args.stride}")
+    if n != len(track):
+        raise ValueError(f"{counts}: each scan needs its own pose")
+    if n <= args.stride:
+        raise ValueError(f"{counts}: no pair of scans fits")
     pairs = []
     for i in range(0, n - args.stride, args.stride):
         if len(pairs) >= args.max_pairs:
@@ -230,8 +236,6 @@ def _kitti_pairs(args):
         j = i + args.stride
         pairs.append((load_scan(files[i]), load_scan(files[j]),
                       relative_ground_truth(track, i, j)))
-    if not pairs:
-        raise ValueError("not enough scans for a single pair")
     return pairs
 
 

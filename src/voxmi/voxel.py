@@ -310,9 +310,13 @@ def compute_feature_map(voxel_map: VoxelIndexMap, cloud: PointCloud,
 def compute_overlap(bounds_a, bounds_b) -> np.ndarray:
     """Intersect two (2, 3) [mins; maxs] index boxes: per-axis max of minima,
     min of maxima.  The box is empty when any min exceeds its max."""
+    return np.array(_overlap(bounds_a, bounds_b), dtype=np.int64)
+
+
+def _overlap(bounds_a, bounds_b) -> tuple:
+    """:func:`compute_overlap` as a (mins, maxs) tuple of int tuples."""
     (lo_a, hi_a), (lo_b, hi_b) = _corners(bounds_a), _corners(bounds_b)
-    return np.array((list(map(max, lo_a, lo_b)), list(map(min, hi_a, hi_b))),
-                    dtype=np.int64)
+    return tuple(map(max, lo_a, lo_b)), tuple(map(min, hi_a, hi_b))
 
 
 def overlap_voxel_count(box) -> int:

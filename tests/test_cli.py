@@ -362,7 +362,48 @@ class TestBenchmark:
                      "--poses", str(tmp_path / "poses.txt")])
         assert code == 1
         assert (capsys.readouterr().err
-                == "error: not enough scans for a single pair\n")
+                == f"error: {scan_dir}: 1 .bin scans and 2 poses in "
+                f"{tmp_path / 'poses.txt'}, at stride 1: each scan needs its "
+                "own pose\n")
+
+    @pytest.mark.parametrize("scans, poses, stride, reason", [
+        (3, 4, 1, "each scan needs its own pose"),
+        (4, 3, 1, "each scan needs its own pose"),
+        (1, 1, 1, "no pair of scans fits"),
+        (3, 3, 3, "no pair of scans fits"),
+        (3, 3, 5, "no pair of scans fits"),
+    ])
+    def test_kitti_dir_counts_that_give_no_pairing_are_named(
+            self, scans, poses, stride, reason, tmp_path, capsys):
+        """A pose file of another sequence, or a stride past the last
+        scan, is refused with the directory, both counts and the stride,
+        not paired on the shorter list or reported as too few scans."""
+        scan_dir = tmp_path / "kitti"
+        scan_dir.mkdir()
+        for i in range(scans):
+            save_scan(PointCloud(np.full((3, 3), float(i))),
+                      scan_dir / f"{i:06d}.bin")
+        save_kitti_poses([np.eye(4)] * poses, tmp_path / "poses.txt")
+        code = main(["benchmark", "--kitti-dir", str(scan_dir),
+                     "--poses", str(tmp_path / "poses.txt"),
+                     "--stride", str(stride)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {scan_dir}: {scans} .bin scans and {poses} poses in "
+            f"{tmp_path / 'poses.txt'}, at stride {stride}: {reason}\n")
+
+    def test_stride_one_short_of_the_scans_gives_one_pair(self, tmp_path):
+        scan_dir = tmp_path / "kitti"
+        scan_dir.mkdir()
+        for i in range(3):
+            save_scan(PointCloud(np.full((3, 3), float(i))),
+                      scan_dir / f"{i:06d}.bin")
+        save_kitti_poses([np.eye(4)] * 3, tmp_path / "poses.txt")
+        args = build_parser().parse_args(
+            ["benchmark", "--kitti-dir", str(scan_dir),
+             "--poses", str(tmp_path / "poses.txt"), "--stride", "2"])
+        assert [(a.points[0, 0], b.points[0, 0])
+                for a, b, _ in _kitti_pairs(args)] == [(0.0, 2.0)]
 
     def test_max_pairs_below_the_pairs_available_stops_early(self, tmp_path):
         scan_dir = tmp_path / "kitti"

@@ -388,21 +388,28 @@ def record_threads(monkeypatch, align_module) -> set:
 # (tx 1e4) and poses off the grid's index range (tx 1e7)
 SWEEP_VALUES = [-3.0, 1e4, -1.5, -0.75, 1e7, 0.0, 0.25, 0.5, 1e4, 1.0, 2.0,
                 3.5, 1e7, -0.25]
+# rz values, out of order
+TURN_VALUES = [0.2, -0.1, 0.05, -0.3, 0.0, 0.15, -0.05, 0.3, 0.1, -0.2]
 
 
 @pytest.mark.parametrize("kind", list(FeatureKind))
 def test_pooled_sweep_matches_a_serial_loop(kind, monkeypatch, align_module):
     """On four usable CPUs, whatever this machine has, with threads
-    switching often; the curve stays in the order of the values."""
+    switching often; the curve stays in the order of the values.  A
+    rotation sweep shares its poses with the worker; a translation sweep,
+    B shifted to each pose, stays on the calling thread."""
     scan_a, scan_b = synth_scene_pair(SceneSpec(seed=6, n_points=6000,
                                                 n_structures=20))
     cfg = AlignmentConfig(feature=kind)
     base = EulerPose(ty=0.4, rz=0.03)
-    expected = serial_curve(scan_a, scan_b, base, "tx", SWEEP_VALUES, cfg,
-                            align_module)
-    mis = [mi for _, mi in expected]
+    sweeps = [("tx", SWEEP_VALUES, 1), ("rz", TURN_VALUES, 2)]
+    expected = {axis: serial_curve(scan_a, scan_b, base, axis, values, cfg,
+                                   align_module)
+                for axis, values, _ in sweeps}
+    mis = [mi for _, mi in expected["tx"]]
     assert mis.count(NO_OVERLAP_SENTINEL) == 4
     assert all(mi > 0.0 for mi in mis if mi != NO_OVERLAP_SENTINEL)
+    assert all(mi > 0.0 for _, mi in expected["rz"])
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     threads = record_threads(monkeypatch, align_module)
@@ -411,19 +418,21 @@ def test_pooled_sweep_matches_a_serial_loop(kind, monkeypatch, align_module):
     sys.setswitchinterval(1e-5)  # switch threads often, to interleave calls
     # threads are counted per call: a call's worker can get a new ident
     # while the last call's worker, already joined, is still exiting
-    curves, counts = [], []
+    curves, counts, wanted = [], [], []
     try:
-        for _ in range(3):
-            threads.clear()
-            curves.append(sweep_axis(scan_a, scan_b, base, "tx",
-                                     SWEEP_VALUES, cfg))
-            counts.append(len(threads))
+        for axis, values, n_threads in sweeps:
+            for _ in range(3):
+                threads.clear()
+                curves.append((axis, sweep_axis(scan_a, scan_b, base, axis,
+                                                values, cfg)))
+                counts.append(len(threads))
+                wanted.append(n_threads)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-    assert counts == [2] * 3
-    for curve in curves:
-        assert hexed(curve) == hexed(expected)
+    assert counts == wanted
+    for axis, curve in curves:
+        assert hexed(curve) == hexed(expected[axis]), axis
 
 
 @pytest.mark.parametrize("affinity", [True, False],
@@ -452,33 +461,42 @@ def test_one_usable_cpu_starts_no_thread(affinity, monkeypatch,
     assert hexed(curve) == hexed(expected)
 
 
-@pytest.mark.parametrize("values, voxel", [
-    ([1e210, 1.5e200, 2.5e200, 5e201], "(1, 0, 0)"),
-    ([5e201, 1e210, 2.5e200, 1.5e200], "(2, 0, 0)"),
+@pytest.mark.parametrize("values, turns, voxel", [
+    ([1e210, 1.5e200, 2.5e200, 5e201], [math.pi, 0.3, 0.0, math.pi],
+     "(1, 0, 0)"),
+    ([5e201, 1e210, 2.5e200, 1.5e200], [math.pi, math.pi, 0.0, 0.3],
+     "(2, 0, 0)"),
 ], ids=["worker-fails-first", "caller-fails-first"])
-def test_pooled_sweep_raises_the_serial_loops_first_error(values, voxel,
+def test_pooled_sweep_raises_the_serial_loops_first_error(values, turns,
+                                                          voxel,
                                                           monkeypatch,
                                                           align_module):
     """B's two points, 1e160 m apart in z, share a 1e200 m voxel whose
     variance overflows wherever they overlap A's row of four voxels, and
     the error names that voxel.  tx 1e210 leaves the index range and
-    5e201 misses A's box: both score the sentinel.  With two threads,
-    the caller scores the values at even positions and a worker the odd
-    ones."""
+    5e201 misses A's box: both score the sentinel.  Moved 2e200 m along
+    x, B lands in voxel (2, 0, 0) at rz 0, in (1, 0, 0) at rz 0.3, and
+    misses A's box at rz pi.  With two threads, the rz sweep's caller
+    scores the values at even positions and a worker the odd ones; the tx
+    sweep, shifted, stays on the calling thread."""
     scan_a = PointCloud(np.array([[x, 0.0, 0.0]
                                   for x in (0.0, 1.5e200, 2.5e200, 3.5e200)]))
     scan_b = PointCloud(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e160]]))
+    scan_b_off = PointCloud(scan_b.points + [2e200, 0.0, 0.0])
     cfg = AlignmentConfig(grid=GridSpec(resolution=1e200))
-    with pytest.raises(ValueError) as serial:
-        serial_curve(scan_a, scan_b, EulerPose(), "tx", values, cfg,
-                     align_module)
-    assert f"voxel {voxel} has inf" in str(serial.value)
-
+    sweeps = [(scan_b, "tx", values, 1), (scan_b_off, "rz", turns, 2)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     threads = record_threads(monkeypatch, align_module)
-    before = threading.active_count()
-    with pytest.raises(ValueError) as pooled:
-        sweep_axis(scan_a, scan_b, EulerPose(), "tx", values, cfg)
-    assert str(pooled.value) == str(serial.value)
-    assert threading.active_count() == before
-    assert len(threads) == 2
+    for b, axis, axis_values, n_threads in sweeps:
+        with pytest.raises(ValueError) as serial:
+            serial_curve(scan_a, b, EulerPose(), axis, axis_values, cfg,
+                         align_module)
+        assert f"voxel {voxel} has inf" in str(serial.value), axis
+
+        threads.clear()
+        before = threading.active_count()
+        with pytest.raises(ValueError) as pooled:
+            sweep_axis(scan_a, b, EulerPose(), axis, axis_values, cfg)
+        assert str(pooled.value) == str(serial.value), axis
+        assert threading.active_count() == before
+        assert len(threads) == n_threads, axis

@@ -361,7 +361,8 @@ def far_pair() -> tuple[PointCloud, PointCloud, AlignmentConfig]:
 
 CALLS = {
     "align": lambda a, b, cfg: align(a, b, np.eye(4), cfg),
-    "sweep_axis": lambda a, b, cfg: sweep_axis(a, b, EulerPose(), "tx",
+    # a rotation sweep: a translation sweep stays on the calling thread
+    "sweep_axis": lambda a, b, cfg: sweep_axis(a, b, EulerPose(), "rz",
                                                [0.0, 0.5, 1.0], cfg),
     "mi_at": lambda a, b, cfg: mi_at(a, b, EulerPose(), cfg),
 }
