@@ -5,10 +5,10 @@ is laid out once as a prepared scan; every objective evaluation transforms
 scan B by the candidate pose, re-voxelizes it on the shared grid (anchored
 at scan A's frame origin) over A's padded box, and scores mutual
 information.  A Nelder-Mead search over the 6-DOF pose drives the loop.
-A sweep along a translation axis rotates scan B once and shifts it to each
-pose, on the calling thread.  With two usable CPUs, one worker thread, held
-for the whole call, moves half of a large scan B in each evaluation, or
-scores every other pose of any other sweep.
+Every pose is scored on the calling thread.  A sweep along tx, ty or tz
+rotates scan B once and shifts it to each pose.  With two usable CPUs, one
+worker thread, held for the whole call, moves half of a large scan B in
+each full move.
 """
 
 from __future__ import annotations
@@ -112,15 +112,11 @@ class _Objective(PreparedScan):
     ``voxelize`` and ``compute_feature_map``: :meth:`score_all` scores every
     pose of ``align`` and ``sweep_axis``, :meth:`breakdown` the rest.
 
-    With two usable CPUs or more it holds, until :meth:`close`, a one-thread
-    executor whose thread starts on first use.  That thread scores every
-    other pose of a multi-pose :meth:`score_all` that is not a translation
-    sweep, and, for a scan B of ``SPLIT_POINTS`` points or more, moves the
-    second half of B's points in each one-pose evaluation
-    (:meth:`PreparedScan.split`).  Two threads, not more: on 2 cores they
-    ran an 81-pose 50k-point rz count sweep x1.24 as fast as one, so
-    2/1.24 - 1 = 61% of an evaluation holds the GIL, and a third thread
-    would add little but a copy of B's rows.
+    Every pose is scored on the calling thread.  For a scan B of
+    ``SPLIT_POINTS`` points or more, with two usable CPUs or more, it holds
+    until :meth:`close` a one-thread executor, whose thread starts on first
+    use and moves the second half of B's points in each full move
+    (:meth:`PreparedScan.split`); a translation sweep's shifts stay whole.
     """
 
     def __init__(self, scan_a: PointCloud, scan_b: PointCloud,
@@ -130,17 +126,14 @@ class _Objective(PreparedScan):
         feat_a = compute_feature_map(voxelize(scan_a, cfg.grid), scan_a,
                                      cfg.feature)
         super().__init__(feat_a, scan_b, cfg.grid, cfg.binning)
-        self.scan_b, self.phi = scan_b, cfg.phi_enabled
-        self.pool = self.pair = None  # pair: the thread's own prepared scan
-        if _usable_cpus() > 1:
-            self.pool = ThreadPoolExecutor(1)
-            if len(self) >= max(SPLIT_POINTS, 4):
-                self.split(self.pool)
+        self.phi = cfg.phi_enabled
+        if len(self) >= max(SPLIT_POINTS, 4) and _usable_cpus() > 1:
+            self.split(ThreadPoolExecutor(1))
 
     def close(self) -> None:
         """Join the executor's thread, if it started."""
-        if self.pool is not None:
-            self.pool.shutdown()
+        if self.helper is not None:
+            self.helper.shutdown()
 
     def __enter__(self) -> "_Objective":
         return self
@@ -160,56 +153,12 @@ class _Objective(PreparedScan):
         hist = self.histogram(transform)
         return hist, mutual_information(hist, include_phi=self.phi)
 
-    def score_all(self, poses: list[EulerPose],
-                  shift: int | None = None) -> list[float]:
-        """``mi_objective`` of each pose, in order: the one scoring path of
-        every pose.  Poses that differ in translation ``shift`` (0, 1 or 2
-        for tx, ty or tz) alone, a translation sweep, are scored on the
-        calling thread on B rotated once and shifted to each pose
-        (:meth:`PreparedScan.shift_along`).  One pose, or one usable CPU,
-        is scored on the calling thread too; more poses are shared with
-        the executor's thread, each thread with its own prepared scan B,
-        and joined before the call returns.  The scores, and the first
-        error in pose order, are the serial loop's."""
-        if shift is not None or self.pool is None or len(poses) == 1:
-            self.shift_along(shift)
-            try:
-                return [mi_objective(self.feat_a, self, pose, self.grid,
-                                     self.spec, include_phi=self.phi)
-                        for pose in poses]
-            finally:
-                self.shift_along(None)
-        if self.pair is None:
-            self.pair = PreparedScan(self.feat_a, self.scan_b, self.grid,
-                                     self.spec)
-        slots = [None] * len(poses)
-        helper, self.helper = self.helper, None  # its thread scores poses
-        try:
-            job = self.pool.submit(self._score_into, self.pair, poses, slots,
-                                   1)
-            self._score_into(self, poses, slots, 0)
-            job.result()
-        finally:
-            self.helper = helper
-        for slot in slots:
-            if isinstance(slot, Exception):
-                raise slot
-        return slots
-
-    def _score_into(self, scan: PreparedScan, poses: list[EulerPose],
-                    slots: list, first: int) -> None:
-        """Score poses ``first``, ``first + 2``, ... on ``scan`` into
-        ``slots``: neighbouring poses, which cost about the same, go to the
-        two threads.  Stops at the first error, stored in its slot,
-        so every pose before the earliest failing one is scored."""
-        for i in range(first, len(poses), 2):
-            try:
-                slots[i] = mi_objective(self.feat_a, scan, poses[i],
-                                        self.grid, self.spec,
-                                        include_phi=self.phi)
-            except Exception as exc:
-                slots[i] = exc
-                return
+    def score_all(self, poses: list[EulerPose]) -> list[float]:
+        """``mi_objective`` of each pose, in order, on the calling thread:
+        the one scoring path of every pose."""
+        return [mi_objective(self.feat_a, self, pose, self.grid, self.spec,
+                             include_phi=self.phi)
+                for pose in poses]
 
 
 def align(scan_a: PointCloud, scan_b: PointCloud, t0: np.ndarray,
@@ -279,11 +228,10 @@ def sweep_axis(scan_a: PointCloud, scan_b: PointCloud, base_pose: EulerPose,
 
     Returns (axis value, MI) pairs in the order of ``values``; poses without
     overlap score the no-overlap sentinel so the curve stays total.  The
-    poses are scored together, as :meth:`_Objective.score_all` describes: a
-    tx, ty or tz sweep rotates B once and shifts it to each value, with
-    the same scores.  On 2 cores, 81 tx poses of a 50k-point B took 30 ms
-    shifted on one thread against 42-55 ms moved on two with count, and
-    54-57 ms against 59 ms with varz.
+    poses are scored together on the calling thread: a tx, ty or tz sweep
+    rotates B once and shifts it to each value
+    (:meth:`PreparedScan.shift_along`), with the scores of a loop of full
+    moves, and an rx, ry or rz sweep moves B in full at each value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -292,5 +240,5 @@ def sweep_axis(scan_a: PointCloud, scan_b: PointCloud, base_pose: EulerPose,
     poses = [replace(base_pose, **{axis: v}) for v in values]
     shift = SWEEP_AXES.index(axis)  # tx, ty and tz come first
     with _Objective(scan_a, scan_b, cfg) as objective:
-        return list(zip(values, objective.score_all(
-            poses, shift if shift < 3 else None)))
+        objective.shift_along(shift if shift < 3 else None)
+        return list(zip(values, objective.score_all(poses)))

@@ -547,7 +547,7 @@ def mi_objective(feat_a: FeatureMap, cloud_b: PointCloud | PreparedScan,
     Scan A's feature map is precomputed once per run and passed in.
     ``cloud_b`` is scan B, or a :class:`PreparedScan` made from ``feat_a``,
     ``grid`` and ``spec`` (ValueError otherwise), whose buffers the
-    evaluation reuses; ``voxmi.align`` passes one per thread.  Returns the
+    evaluation reuses; ``voxmi.align`` passes its objective.  Returns the
     worst-possible sentinel, so the optimizer retreats, for candidate poses
     that push points off the representable grid (OutOfBoundsError) or leave
     no usable overlap (EmptyOverlapError: the occupied boxes miss, or phi is

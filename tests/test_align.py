@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -207,9 +206,8 @@ class TestSweepAxis:
     def test_one_module_objective_call_per_value(self, scene, monkeypatch,
                                                  align_module):
         """Evaluation counters wrap ``voxmi.align.mi_objective``: a sweep
-        must go through that name once per value, and ``mi_at`` never.
-        A sweep's threads interleave their calls, so only the multiset of
-        the calls is fixed."""
+        must go through that name once per value, in the order of the
+        values, on the calling thread, and ``mi_at`` never."""
         calls = []
         objective = align_module.mi_objective
 
@@ -221,8 +219,7 @@ class TestSweepAxis:
         scan_a, scan_b = scene
         values = np.linspace(-1.0, 1.0, 7)
         sweep_axis(scan_a, scan_b, TRUTH_POSE, "ty", values)
-        assert (Counter(pose.ty for pose in calls)
-                == Counter(float(v) for v in values))
+        assert [pose.ty for pose in calls] == [float(v) for v in values]
         mi_at(scan_a, scan_b, TRUTH_POSE)
         assert len(calls) == len(values)
 

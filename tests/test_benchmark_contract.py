@@ -5,8 +5,10 @@ A traced benchmark run reports a renamed or moved name only as an
 way a ``--trace 1`` run does and fail on any name it could not wrap or any
 stage it timed at zero.  A ``--trace 0`` run counts evaluations as calls
 of ``voxmi.align.mi_objective``, so they also count those calls the way it
-does, and fail unless each scored pose is exactly one.  The benchmark's
-modules are imported, never changed.
+does, and fail unless each scored pose is exactly one.  The tracer keeps
+one span stack per process, so they also fail unless every evaluation of
+a sweep runs on the calling thread, under the span of its call.  The
+benchmark's modules are imported, never changed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import importlib
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +77,8 @@ def test_trace_overhead_is_a_positive_ratio():
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_each_scored_pose_is_one_counted_objective_call(cpus, monkeypatch):
-    """On two CPUs with ``SPLIT_POINTS`` lowered, every path runs: a pooled
-    rotation sweep, shifted translation sweeps and split moves."""
+    """On two CPUs with ``SPLIT_POINTS`` lowered, every path runs: a
+    rotation sweep and shifted translation sweeps, with split moves."""
     align_module = importlib.import_module("voxmi.align")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     if cpus > 1:
@@ -83,9 +86,9 @@ def test_each_scored_pose_is_one_counted_objective_call(cpus, monkeypatch):
     scored = []
     score_all = align_module._Objective.score_all
 
-    def recorded(self, poses, shift=None):
+    def recorded(self, poses):
         scored.append(len(poses))
-        return score_all(self, poses, shift)
+        return score_all(self, poses)
 
     monkeypatch.setattr(align_module._Objective, "score_all", recorded)
     scan_a, scan_b = small_pair()
@@ -98,3 +101,40 @@ def test_each_scored_pose_is_one_counted_objective_call(cpus, monkeypatch):
     with tracing.counting("voxmi.align", "mi_objective") as box:
         report = align(scan_a, scan_b, np.eye(4), CFG)
     assert box[0] == sum(scored) > len(report.mi_trace)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+def test_sweep_evaluations_run_on_the_calling_thread(split, monkeypatch):
+    """On two CPUs, whole or with ``SPLIT_POINTS`` lowered so that B's
+    moves split, every counted ``voxmi.align.mi_objective`` call of an rz
+    and a tx sweep runs on the calling thread, and the tracer parents each
+    of their spans to the span of the sweep's call."""
+    align_module = importlib.import_module("voxmi.align")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if split:
+        monkeypatch.setattr(align_module, "SPLIT_POINTS", 0)
+    threads = []
+    objective = align_module.mi_objective
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(align_module, "mi_objective", recorded)
+    scan_a, scan_b = small_pair()
+    values = np.linspace(-1.0, 1.0, 9)
+    tracer = tracing.Tracer()
+    try:
+        layers.install(tracer)
+        for axis in ("rz", "tx"):
+            with tracing.counting("voxmi.align", "mi_objective") as box:
+                with tracer.span("call"):
+                    sweep_axis(scan_a, scan_b, TRUTH, axis, values, CFG)
+            assert box[0] == len(values), axis
+    finally:
+        tracer.restore()
+    assert threads == [threading.get_ident()] * 2 * len(values)
+    spans = tracer.spans
+    evaluations = [span for span in spans if span[0] == layers.EVAL]
+    assert len(evaluations) == 2 * len(values)
+    assert all(spans[span[3]][0] == "call" for span in evaluations)

@@ -194,6 +194,18 @@ class TestMutualInformation:
         res = mutual_information(hist_from_counts(np.outer(row, col)))
         assert abs(res.mi) <= 1e-12
 
+    def test_a_rounding_negative_mi_is_clamped_to_zero(self):
+        """An exact outer product of marginals has MI 0; here its rounded
+        entropies give H(X) + H(Y) - H(X, Y) one ulp below 0, which is
+        reported as 0 with the three entropies as computed."""
+        counts = np.outer([1, 1, 0], [1, 1, 2])
+        res = mutual_information(hist_from_counts(counts))
+        assert -1e-12 <= res.h_x + res.h_y - res.h_xy < 0.0
+        assert res.mi == 0.0
+        assert res.h_x == entropy(counts.sum(axis=1))
+        assert res.h_y == entropy(counts.sum(axis=0))
+        assert res.h_xy == entropy(counts)
+
     def test_matches_double_sum_formula(self):
         rng = np.random.default_rng(53)
         counts = rng.integers(0, 30, size=(5, 5))

@@ -2,12 +2,12 @@
 
 Every caller (``align``, ``sweep_axis``, ``mi_at`` and ``voxmi histogram``)
 scores its poses through ``voxmi.align._Objective``, a ``PreparedScan``
-whose buffers each evaluation reuses; a pooled sweep gives each thread its
-own prepared scan.  These tests pin what that promises: the histogram of
-binning B's whole moved box at every pose, in any order; the box limit
-held on scan A's own box only, so no pose can end a run with
-BoxTooLargeError; a prepared scan refused for other settings; no per-point
-allocation per evaluation; and buffers that belong to one call.
+whose buffers each evaluation reuses, on the calling thread.  These tests
+pin what that promises: the histogram of binning B's whole moved box at
+every pose, in any order; the box limit held on scan A's own box only, so
+no pose can end a run with BoxTooLargeError; a prepared scan refused for
+other settings; no per-point allocation per evaluation; and buffers that
+belong to one call.
 """
 
 from __future__ import annotations
@@ -396,13 +396,13 @@ TURN_VALUES = [0.2, -0.1, 0.05, -0.3, 0.0, 0.15, -0.05, 0.3, 0.1, -0.2]
 def test_pooled_sweep_matches_a_serial_loop(kind, monkeypatch, align_module):
     """On four usable CPUs, whatever this machine has, with threads
     switching often; the curve stays in the order of the values.  A
-    rotation sweep shares its poses with the worker; a translation sweep,
-    B shifted to each pose, stays on the calling thread."""
+    rotation sweep, B moved in full to each pose, and a translation sweep,
+    B shifted to each pose, both score on the calling thread."""
     scan_a, scan_b = synth_scene_pair(SceneSpec(seed=6, n_points=6000,
                                                 n_structures=20))
     cfg = AlignmentConfig(feature=kind)
     base = EulerPose(ty=0.4, rz=0.03)
-    sweeps = [("tx", SWEEP_VALUES, 1), ("rz", TURN_VALUES, 2)]
+    sweeps = [("tx", SWEEP_VALUES, 1), ("rz", TURN_VALUES, 1)]
     expected = {axis: serial_curve(scan_a, scan_b, base, axis, values, cfg,
                                    align_module)
                 for axis, values, _ in sweeps}
@@ -476,15 +476,15 @@ def test_pooled_sweep_raises_the_serial_loops_first_error(values, turns,
     the error names that voxel.  tx 1e210 leaves the index range and
     5e201 misses A's box: both score the sentinel.  Moved 2e200 m along
     x, B lands in voxel (2, 0, 0) at rz 0, in (1, 0, 0) at rz 0.3, and
-    misses A's box at rz pi.  With two threads, the rz sweep's caller
-    scores the values at even positions and a worker the odd ones; the tx
-    sweep, shifted, stays on the calling thread."""
+    misses A's box at rz pi.  On two usable CPUs both sweeps score every
+    value on the calling thread, the rz sweep's first error coming at its
+    second value in one case and its third in the other."""
     scan_a = PointCloud(np.array([[x, 0.0, 0.0]
                                   for x in (0.0, 1.5e200, 2.5e200, 3.5e200)]))
     scan_b = PointCloud(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e160]]))
     scan_b_off = PointCloud(scan_b.points + [2e200, 0.0, 0.0])
     cfg = AlignmentConfig(grid=GridSpec(resolution=1e200))
-    sweeps = [(scan_b, "tx", values, 1), (scan_b_off, "rz", turns, 2)]
+    sweeps = [(scan_b, "tx", values, 1), (scan_b_off, "rz", turns, 1)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     threads = record_threads(monkeypatch, align_module)
     for b, axis, axis_values, n_threads in sweeps:

@@ -2,8 +2,8 @@
 
 ``PreparedScan.shift_along`` keeps B's rotated row of the swept axis and
 the summed cell-index terms of the other two axes while the poses share
-the rotation block and those two translations; ``_Objective.score_all``
-turns it on for a tx, ty or tz sweep.  These tests pin what that
+the rotation block and those two translations; ``sweep_axis`` turns it
+on for a tx, ty or tz sweep.  These tests pin what that
 promises: every histogram, score and error of a shifted pose is the one a
 fresh prepared scan gives at that pose, bit for bit, at any resolution and
 feature kind; a pose off the index range or with no overlap is scored and
@@ -31,6 +31,7 @@ from voxmi import (
     FeatureKind,
     GridSpec,
     OutOfBoundsError,
+    PointCloud,
     SceneSpec,
     euler_to_transform,
     mutual_information,
@@ -64,7 +65,8 @@ def outcome(scan: PreparedScan, pose: EulerPose, phi: bool = True):
 
 def fresh(objective, pose: EulerPose):
     """:func:`outcome` on a prepared scan made for this pose alone."""
-    return outcome(PreparedScan(objective.feat_a, objective.scan_b,
+    return outcome(PreparedScan(objective.feat_a,
+                                PointCloud(objective.points.T),
                                 objective.grid, objective.spec), pose,
                    objective.phi)
 
@@ -184,8 +186,8 @@ def test_a_split_scans_translation_sweep_stays_on_the_calling_thread(
         kind, monkeypatch, align_module):
     """Shifted poses hold the GIL for most of their time, so a translation
     sweep starts no thread, even for a B that splits its moves (here with
-    ``SPLIT_POINTS`` lowered), and scores each pose as a fresh scan; a
-    rotation sweep still shares its poses."""
+    ``SPLIT_POINTS`` lowered), and scores each pose as a fresh scan; so
+    does a rotation sweep, whose full moves split."""
     scan_a, scan_b = scene()
     cfg = AlignmentConfig(feature=kind)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -209,7 +211,7 @@ def test_a_split_scans_translation_sweep_stays_on_the_calling_thread(
     assert len(threads) == 3 * len(VALUES)
     threads.clear()
     sweep_axis(scan_a, scan_b, BASE, "rz", [0.0, 0.05, 0.1], cfg)
-    assert len(set(threads)) == 2
+    assert threads == [threading.get_ident()] * 3
 
 
 @pytest.mark.parametrize("axis", AXES)

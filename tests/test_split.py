@@ -1,14 +1,14 @@
 """One large pose scored on two threads, and the threads an objective keeps.
 
-``voxmi.align._Objective`` holds a one-thread executor for its life when
-the process has two usable CPUs or more.  For a scan B of at least
-``SPLIT_POINTS`` points, each evaluation hands the second half of B's
-points to that thread for the move, floor, clamp and cell index.  These
-tests lower the constant so that small scans split, and pin what that
-promises: every score, curve, report and error message is the serial
-run's, bit for bit; each stage global is still called once per evaluation
-on the calling thread; no per-point buffer is added; and no thread
-outlives the call that started it, whether it returns or raises.
+For a scan B of at least ``SPLIT_POINTS`` points, when the process has two
+usable CPUs or more, ``voxmi.align._Objective`` holds a one-thread executor
+for its life, and each full move of B, in an align or a rotation sweep,
+hands the second half of B's points to that thread for the move, floor,
+clamp and cell index.  These tests lower the constant so that small scans
+split, and pin what that promises: every score, curve, report and error message is the
+serial run's, bit for bit; each stage global is still called once per
+evaluation on the calling thread; no per-point buffer is added; and no
+thread outlives the call that started it, whether it returns or raises.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def test_split_aligns_and_sweeps_match_the_serial_run(n, kind, monkeypatch,
             lambda: [(v.hex(), mi.hex()) for v, mi in sweep_axis(
                 scan_a, scan_b, EulerPose(ty=0.2), "rz", values, cfg)])
         assert split == serial
-        assert len(pools) == 1 and pools[0].submits == 1  # the odd poses
+        # one handoff per pose, the second half of its full move
+        assert len(pools) == 1 and pools[0].submits == len(values)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 10])
@@ -152,7 +153,7 @@ def test_each_half_has_two_points_or_more(n, monkeypatch, align_module):
             assert sum(widths) == n and min(widths) >= 2
     with pytest.raises(ValueError, match="halves of 2 or more"):
         PreparedScan(objective.feat_a, block(3, 3), objective.grid,
-                     objective.spec).split(objective.pool)
+                     objective.spec).split(objective.helper)
 
 
 @pytest.mark.parametrize("n", [4, 5, 9, 301])
@@ -361,7 +362,8 @@ def far_pair() -> tuple[PointCloud, PointCloud, AlignmentConfig]:
 
 CALLS = {
     "align": lambda a, b, cfg: align(a, b, np.eye(4), cfg),
-    # a rotation sweep: a translation sweep stays on the calling thread
+    # a rotation sweep, whose full moves split: a translation sweep's
+    # shifts stay whole
     "sweep_axis": lambda a, b, cfg: sweep_axis(a, b, EulerPose(), "rz",
                                                [0.0, 0.5, 1.0], cfg),
     "mi_at": lambda a, b, cfg: mi_at(a, b, EulerPose(), cfg),
